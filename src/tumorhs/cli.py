@@ -113,7 +113,7 @@ def run_assertions(traj, report, setup, cfg):
         out.append(("complementarity lhs bound", ok,
                     f"|lhs|={abs(report.accum['compl_lhs']):.3e} "
                     f"<= {report.accum['compl_lhs_bound']:.3e}"))
-    prm_b = config_mod.barrier_params(cfg, setup.spec)
+    prm_b = config_mod.barrier_params(cfg, setup)
     if prm_b is not None:
         ok, fails = analytic.barrier_check(traj, prm_b)
         detail = "all snapshots inside" if ok else f"{len(fails)} snapshots outside"
@@ -134,10 +134,9 @@ def _sweep_worker(job):
         traj, report, setup, out_dir = _run_once(cfg, out_root, gamma=gamma)
         row = dict(report.accum)
         row["gamma"] = gamma
-        row["runtime_s"] = traj.meta["runtime_s"]
-        return gamma, row, str(out_dir), None
+        return gamma, row, traj.meta["runtime_s"], str(out_dir), None
     except Exception as exc:   # noqa: BLE001 - per-run isolation
-        return gamma, None, None, repr(exc)
+        return gamma, None, None, None, repr(exc)
 
 
 def cmd_sweep(args) -> int:
@@ -154,14 +153,14 @@ def cmd_sweep(args) -> int:
     else:
         outcomes = [_sweep_worker(job) for job in jobs]
     rows, gs, failed = [], [], []
-    for gamma, row, out_dir, err in outcomes:
+    for gamma, row, runtime_s, out_dir, err in outcomes:
         if err is not None:
             failed.append((gamma, err))
             print(f"gamma={gamma:g}: FAILED ({err})")
             continue
         rows.append(row)
         gs.append(gamma)
-        print(f"gamma={gamma:g}: done ({row['runtime_s']:.1f}s) -> {out_dir}")
+        print(f"gamma={gamma:g}: done ({runtime_s:.1f}s) -> {out_dir}")
     # fits need at least 3 successful runs; shorter sweeps still get a
     # summary, flagged as degenerate
     fit_graph = fit_rhs = None

@@ -15,6 +15,8 @@ import math
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import analytic, model, solver
 from .grid import Grid, TestFunction
 
@@ -325,12 +327,27 @@ def reaction_spec(cfg: ExperimentConfig, params) -> model.ReactionSpec:
     return model.default_reactions(params, c_star=cfg.values["model"]["c_star"])
 
 
-def barrier_params(cfg: ExperimentConfig, spec) -> analytic.BarrierParams | None:
+def barrier_params(cfg: ExperimentConfig, setup) -> analytic.BarrierParams | None:
+    """Support barrier of one run (a solver.RunSetup), or None without reactions.
+
+    Pi(x, t) = G0 |S(t) - |x|^2/2|_+ with S(t) = S0 exp(2 G0 t), G0 = G(0, c_B),
+    is a super-solution of the pressure equation only if it starts above the
+    initial pressure: Pi(x, 0) >= p0(x), i.e. S0 >= p0/G0 + |x|^2/2 on the
+    initial support.  S0 is the larger of that bound and the configured
+    value ([barrier] s0, or the one derived from the initial radius).
+    """
     if cfg.values["reactions"]["family"] == "off":
         return None
     support = _initial_support_radius(cfg)
     S0 = cfg.values["barrier"]["s0"] or \
         0.5 * (cfg.values["barrier"]["radius_slack"] * support) ** 2
+    spec = setup.spec
+    G0 = float(spec.G(0.0, spec.params.c_B))
+    p0 = model.pressure_from_density(setup.n0, setup.params.gamma)
+    inside = p0 > 0.0
+    if G0 > 0.0 and inside.any():
+        S0 = max(S0, float(np.max(p0[inside] / G0
+                                  + 0.5 * setup.grid.radius[inside] ** 2)))
     return analytic.BarrierParams.for_run(S0, spec)
 
 

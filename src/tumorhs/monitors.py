@@ -349,5 +349,4 @@ def compute_report(traj: Trajectory, spec: model.ReactionSpec,
     report.accum["energy_max"] = float(np.max(report.series["energy"]))
     report.meta["clipped_mass"] = traj.clipped_mass
     report.meta["steps"] = int(traj.meta.get("steps", 0))
-    report.meta["runtime_s"] = float(traj.meta.get("runtime_s", 0.0))
     return report

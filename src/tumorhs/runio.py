@@ -11,9 +11,11 @@ ever silently overwritten with different content:
         final_state.csv    last snapshot as text (coordinates, n, p, c)
         monitors.csv       per-snapshot monitor rows (t, dt, then one column each)
         summary.json       accumulated monitors plus run metadata
+        timing.json        wall-clock runtime, step count, smallest and largest dt
 
-No timestamps are written anywhere: repeated identical invocations produce
-bitwise-identical files.
+No timestamps are written anywhere, and the wall-clock runtime goes to
+timing.json alone: repeated identical invocations produce bitwise-identical
+files apart from timing.json.
 """
 
 from __future__ import annotations
@@ -93,6 +95,20 @@ def write_monitor_csv(path, report: MonitorReport) -> None:
             fh.write("\n")
 
 
+def write_timing(path, traj: Trajectory) -> None:
+    """Wall-clock runtime and step statistics: the one file of a run that
+    differs between identical invocations."""
+    dts = traj.dts
+    timing = {
+        "runtime_s": float(traj.meta.get("runtime_s", 0.0)),
+        "steps": len(dts),
+        "dt_min": float(dts.min()) if len(dts) else None,
+        "dt_max": float(dts.max()) if len(dts) else None,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(timing, fh, indent=1, sort_keys=True)
+
+
 def write_run(out_dir, config_text: str, traj: Trajectory,
               report: MonitorReport | None) -> Path:
     out_dir = Path(out_dir)
@@ -112,6 +128,7 @@ def write_run(out_dir, config_text: str, traj: Trajectory,
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
+    write_timing(out_dir / "timing.json", traj)
     if report is not None:
         write_monitor_csv(out_dir / "monitors.csv", report)
         summary = {
@@ -122,7 +139,6 @@ def write_run(out_dir, config_text: str, traj: Trajectory,
                      for k, v in report.meta.items()},
             "clipped_mass": float(traj.clipped_mass),
             "steps": int(traj.meta.get("steps", 0)),
-            "runtime_s": float(traj.meta.get("runtime_s", 0.0)),
         }
         with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=1, sort_keys=True)

@@ -21,12 +21,13 @@ violations are observable instead of silent.
 
 from __future__ import annotations
 
+import functools
 import math
 import time as _time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 from scipy.sparse import identity as sparse_identity
 from scipy.sparse import kron as sparse_kron
 from scipy.sparse import diags as sparse_diags
@@ -183,15 +184,29 @@ def initial_prerelaxed(g: Grid, params: model.ModelParams,
     prep_params = model.ModelParams(gamma=gamma_prep, p_H=params.p_H,
                                     p_B=params.p_B, c_B=params.c_B,
                                     g0=params.g0, c1=params.c1, c2=params.c2)
-    prep_spec = model.default_reactions(prep_params, c_star=spec.c_star) \
-        if spec.family == "default" else spec
+    default = spec.family == "default"
+    p0 = _warmup_pressure(g, prep_params, spec.c_star if default else None,
+                          None if default else spec, theta, radius, edge,
+                          t_relax).copy()
+    return model.density_from_pressure(p0, params.gamma), p0
+
+
+@functools.lru_cache(maxsize=4)
+def _warmup_pressure(g: Grid, prep_params: model.ModelParams, c_star, custom_spec,
+                     theta: float, radius: float, edge: float,
+                     t_relax: float) -> np.ndarray:
+    """Warmup pressure of initial_prerelaxed, computed once per set of inputs:
+    it does not depend on the run's gamma, so a gamma sweep shares it.  The
+    reactions are the default family at c_star, or custom_spec when given."""
+    prep_spec = custom_spec or model.default_reactions(prep_params, c_star=c_star)
     n0, p0 = initial_plateau(g, prep_params, theta=theta, radius=radius, edge=edge)
     if t_relax > 0.0:
         setup = RunSetup(grid=g, params=prep_params, spec=prep_spec, n0=n0,
                          c0=nutrient_uniform(g, prep_params), T=t_relax,
                          snapshot_dt=t_relax)
-        p0 = run(setup).p[-1]
-    return model.density_from_pressure(p0, params.gamma), p0
+        p0 = run(setup).p[-1].copy()
+    p0.flags.writeable = False
+    return p0
 
 
 def initial_pressure_hump(g: Grid, params: model.ModelParams,
@@ -252,12 +267,15 @@ def initial_report(g: Grid, p0: np.ndarray) -> dict:
 # ---------------------------------------------------------------------------
 
 def cfl_dt(state: State, params: model.ModelParams, spec: model.ReactionSpec,
-           safety: float = 0.4) -> float:
+           safety: float = 0.4, *, G: np.ndarray | None = None) -> float:
     """Stable explicit step: safety * h^2 / (2d * gamma * max p), with the
-    reaction cap safety / |G|_inf; governed by the cap alone when n = 0."""
+    reaction cap safety / |G|_inf; governed by the cap alone when n = 0.
+
+    G, when given, is spec.G(state.p, state.c), already evaluated for this step.
+    """
     if not 0.0 < safety <= 1.0:
         raise ValueError("safety in (0, 1] required")
-    p_max = float(np.max(state.p))
+    p_max = float(state.p.max())
     if not math.isfinite(p_max):
         k = int(np.argmax(~np.isfinite(state.p)))
         idx = np.unravel_index(k, state.p.shape)
@@ -266,7 +284,9 @@ def cfl_dt(state: State, params: model.ModelParams, spec: model.ReactionSpec,
     dt = math.inf
     if p_max > 0.0:
         dt = safety * g.h * g.h / (2.0 * g.dim * params.gamma * p_max)
-    g_max = float(np.max(np.abs(spec.G(state.p, state.c))))
+    if G is None:
+        G = spec.G(state.p, state.c)
+    g_max = float(np.abs(G).max())
     if g_max > 0.0:
         dt = min(dt, safety / g_max)
     if dt <= 0.0 or not dt > 1e-300:
@@ -278,55 +298,107 @@ def cfl_dt(state: State, params: model.ModelParams, spec: model.ReactionSpec,
 # single steps
 # ---------------------------------------------------------------------------
 
-def _flux_divergence(n: np.ndarray, p: np.ndarray, h: float) -> np.ndarray:
-    """div F with face flux F = -mean(n) * dp/h; Dirichlet-zero ghosts make the
-    boundary face mobility vanish, so the interior flux sum telescopes."""
-    div = np.zeros_like(n)
-    for ax in range(n.ndim):
-        n_ext = np.concatenate([
-            -np.take(n, [0], axis=ax), n, -np.take(n, [-1], axis=ax)], axis=ax)
-        p_ext = np.concatenate([
-            -np.take(p, [0], axis=ax), p, -np.take(p, [-1], axis=ax)], axis=ax)
-        n_face = 0.5 * (n_ext[_sl(ax, None, -1, n.ndim)] + n_ext[_sl(ax, 1, None, n.ndim)])
-        dp = np.diff(p_ext, axis=ax) / h
-        flux = -n_face * dp          # one value per face: shape n+1 along ax
-        div += np.diff(flux, axis=ax) / h
-    return div
-
-
 def _sl(ax: int, start, stop, ndim: int):
     sl = [slice(None)] * ndim
     sl[ax] = slice(start, stop)
     return tuple(sl)
 
 
+class _FluxBuffers:
+    """Face-flux scratch arrays for one grid, allocated once per run.
+
+    The odd ghost layer (ghost = -interior) gives each wall face the mobility
+    0.5 * (-n + n) = 0, so the wall faces of every flux array stay at zero and
+    only the interior faces are written.
+    """
+
+    def __init__(self, g: Grid):
+        self.axes = []
+        for ax in range(g.dim):
+            shape = list(g.shape)
+            shape[ax] += 1
+            flux = np.zeros(shape)
+            inner = flux[_sl(ax, 1, -1, g.dim)]
+            self.axes.append((_sl(ax, None, -1, g.dim), _sl(ax, 1, None, g.dim),
+                              flux, inner, np.empty(inner.shape)))
+        self.div = np.empty(g.shape)
+        self.term = np.empty(g.shape)
+
+
+def _flux_divergence(n: np.ndarray, p: np.ndarray, h: float,
+                     buf: _FluxBuffers) -> np.ndarray:
+    """div F with face flux F = -mean(n) * dp/h, written into buf.div; the
+    wall faces carry no flux, so the interior flux sum telescopes."""
+    div = None
+    for lo, hi, flux, inner, dp in buf.axes:
+        np.add(n[lo], n[hi], out=inner)
+        inner *= 0.5
+        np.subtract(p[hi], p[lo], out=dp)
+        dp /= h
+        inner *= dp
+        np.negative(inner, out=inner)
+        out = buf.div if div is None else buf.term
+        np.subtract(flux[hi], flux[lo], out=out)
+        out /= h
+        if div is None:
+            div = out
+        else:
+            div += out
+    return div
+
+
+def _pressure(n: np.ndarray, gamma: float) -> np.ndarray:
+    """p = exp(gamma * log n), with p = 0 where n = 0; n >= 0 is the caller's
+    guarantee."""
+    pos = n > 0.0
+    p = np.zeros(n.shape)
+    np.log(n, out=p, where=pos)
+    p *= gamma
+    np.exp(p, out=p, where=pos)
+    return p
+
+
 def step_density(state: State, dt: float, params: model.ModelParams,
-                 spec: model.ReactionSpec) -> tuple:
-    """One conservative explicit update of n (and p); returns (n, p, clipped_mass)."""
+                 spec: model.ReactionSpec, *, G: np.ndarray | None = None,
+                 _buffers: _FluxBuffers | None = None) -> tuple:
+    """One conservative explicit update of n (and p); returns (n, p, clipped_mass).
+
+    G, when given, is spec.G(state.p, state.c), already evaluated for this
+    step.  The arrays of `state` are left untouched; n and p are new arrays.
+    """
     g = state.grid
-    G = spec.G(state.p, state.c)
-    n_new = state.n + dt * (-_flux_divergence(state.n, state.p, g.h)
-                            + state.n * G)
-    worst = float(np.min(n_new))
+    n = state.n
+    if G is None:
+        G = spec.G(state.p, state.c)
+    div = _flux_divergence(n, state.p, g.h, _buffers or _FluxBuffers(g))
+    n_new = n * G
+    n_new -= div
+    n_new *= dt
+    n_new += n
+    worst = float(n_new.min())
     if not math.isfinite(worst) or worst < -NEG_TOL:
         k = int(np.argmin(n_new))
         idx = np.unravel_index(k, n_new.shape)
         raise SolverError(
             f"density update out of range at cell {idx}: n={worst:.3e} (t={state.t})")
     n_H = params.n_H
-    clipped = float(np.sum(np.maximum(-n_new, 0.0))
-                    + np.sum(np.maximum(n_new - n_H, 0.0))) * g.cell_volume
-    np.clip(n_new, 0.0, n_H, out=n_new)
-    p_new = model.pressure_from_density(n_new, params.gamma)
-    return n_new, p_new, clipped
+    clipped = 0.0
+    # inside [0, n_H] the clip is the identity and the clipped mass exactly 0
+    if worst < 0.0 or float(n_new.max()) > n_H:
+        clipped = float(np.sum(np.maximum(-n_new, 0.0))
+                        + np.sum(np.maximum(n_new - n_H, 0.0))) * g.cell_volume
+        np.clip(n_new, 0.0, n_H, out=n_new)
+    # the NEG_TOL abort and the clip above make n_new >= 0, which is all the
+    # pressure law's negative-density guard would check
+    return n_new, _pressure(n_new, params.gamma), clipped
 
 
 class _NutrientSolver:
     """Backward-Euler diffusion solve in the deviation u = c - c_B.
 
-    The matrix I - dt*Lap (Dirichlet-zero ghosts) is SPD; 1D uses a banded
-    direct solve, 2D a matrix-free conjugate-gradient iteration.  Every solve
-    is verified to relative residual <= 1e-10.
+    The matrix I - dt*Lap (Dirichlet-zero ghosts) is SPD; 1D uses LAPACK's
+    tridiagonal gtsv, 2D a matrix-free conjugate-gradient iteration.  Every
+    solve is verified to relative residual <= 1e-10.
     """
 
     residual_tol = 1e-10
@@ -334,7 +406,12 @@ class _NutrientSolver:
 
     def __init__(self, g: Grid):
         self.grid = g
-        if g.dim == 2:
+        if g.dim == 1:
+            # the routine solve_banded uses for (1, 1)-banded systems; it
+            # overwrites the three diagonals, so they are refilled per solve
+            self._gtsv, = get_lapack_funcs(("gtsv",), (np.zeros(1),))
+            self._diags = (np.empty(g.n - 1), np.empty(g.n), np.empty(g.n - 1))
+        else:
             n, h = g.n, g.h
             main = np.full(n, -2.0)
             main[0] = main[-1] = -3.0   # Dirichlet-zero ghost fold-in
@@ -344,16 +421,21 @@ class _NutrientSolver:
             self.L = (sparse_kron(L1, eye) + sparse_kron(eye, L1)).tocsr()
 
     def solve(self, u: np.ndarray, rhs: np.ndarray, dt: float) -> np.ndarray:
+        scale = float(np.abs(rhs).max())
+        if scale == 0.0:
+            # the exact solution, and what gtsv and cg return for a zero rhs
+            return np.zeros_like(rhs)
         g = self.grid
         if g.dim == 1:
             r = dt / (g.h * g.h)
-            n = g.n
-            ab = np.zeros((3, n))
-            ab[0, 1:] = -r
-            ab[1, :] = 1.0 + 2.0 * r
-            ab[1, 0] = ab[1, -1] = 1.0 + 3.0 * r
-            ab[2, :-1] = -r
-            out = solve_banded((1, 1), ab, rhs, check_finite=False)
+            lower, diag, upper = self._diags
+            lower.fill(-r)
+            upper.fill(-r)
+            diag.fill(1.0 + 2.0 * r)
+            diag[0] = diag[-1] = 1.0 + 3.0 * r
+            _, _, _, out, info = self._gtsv(lower, diag, upper, rhs, 1, 1, 1, 0)
+            if info != 0:
+                raise SolverError(f"tridiagonal nutrient solve failed (gtsv info {info})")
             resid = self._residual_1d(out, rhs, r)
         else:
             def matvec(x):
@@ -368,8 +450,7 @@ class _NutrientSolver:
                     f"nutrient CG failed to converge within {self.max_iter} iterations")
             out = flat.reshape(rhs.shape)
             resid = float(np.max(np.abs(matvec(flat) - rhs.ravel())))
-        scale = float(np.max(np.abs(rhs)))
-        if scale > 0.0 and resid > self.residual_tol * scale:
+        if resid > self.residual_tol * scale:
             raise SolverError(
                 f"nutrient solve residual {resid / scale:.2e} above "
                 f"{self.residual_tol:.0e}")
@@ -381,7 +462,8 @@ class _NutrientSolver:
         Au[-1] += r * u[-1]
         Au[1:] -= r * u[:-1]
         Au[:-1] -= r * u[1:]
-        return float(np.max(np.abs(Au - rhs)))
+        Au -= rhs
+        return float(np.abs(Au, out=Au).max())
 
 
 def step_nutrient(state: State, dt: float, params: model.ModelParams,
@@ -398,19 +480,21 @@ def step_nutrient(state: State, dt: float, params: model.ModelParams,
 
 
 def _check_state(state: State, params: model.ModelParams) -> None:
-    if float(np.min(state.n)) < -STATE_TOL or float(np.max(state.n)) > params.n_H + STATE_TOL:
-        raise SolverError(f"density bounds violated at t={state.t}")
-    cmin, cmax = float(np.min(state.c)), float(np.max(state.c))
+    # 0 <= n <= n_H is not checked again: step_density aborts below -NEG_TOL
+    # and clips the rest to [0, n_H]
+    cmin, cmax = float(state.c.min()), float(state.c.max())
     if cmin < -STATE_TOL or cmax > params.c_B + STATE_TOL:
         raise SolverError(
             f"nutrient bounds violated at t={state.t}: [{cmin:.3e}, {cmax:.3e}]")
     # the support must stay strictly inside the box (Dirichlet-zero ghosts
     # would silently destroy mass once the front touches the walls)
-    for ax in range(state.n.ndim):
-        lo = float(np.max(np.take(state.n, 0, axis=ax)))
-        hi = float(np.max(np.take(state.n, -1, axis=ax)))
-        if max(lo, hi) > 1e-12:
-            raise SolverError(f"support reached the box boundary at t={state.t}")
+    n = state.n
+    if n.ndim == 1:
+        wall = max(n[0], n[-1])
+    else:
+        wall = max(n[0].max(), n[-1].max(), n[:, 0].max(), n[:, -1].max())
+    if wall > 1e-12:
+        raise SolverError(f"support reached the box boundary at t={state.t}")
 
 
 # ---------------------------------------------------------------------------
@@ -426,56 +510,70 @@ def snapshot_times(T: float, snapshot_dt: float) -> np.ndarray:
     return np.arange(k + 1) * snapshot_dt
 
 
-def run(setup: RunSetup) -> Trajectory:
-    """Advance from t = 0 to T, landing exactly on every snapshot mark.
-
-    Any step failure flushes the partial trajectory to setup.out_dir (when
-    set) before re-raising.
-    """
-    g, params, spec = setup.grid, setup.params, setup.spec
-    marks = snapshot_times(setup.T, setup.snapshot_dt)
-    K = len(marks)
+def _initial_state(setup: RunSetup) -> State:
+    params = setup.params
     n = np.array(setup.n0, dtype=float)
     if np.any(n < 0.0) or np.any(n > params.n_H + 1e-12):
         raise ValueError("initial density violates 0 <= n0 <= n_H")
     c = np.array(setup.c0, dtype=float)
     if np.any(c < 0.0) or np.any(c > params.c_B + 1e-12):
         raise ValueError("initial nutrient violates 0 <= c0 <= c_B")
-    p = model.pressure_from_density(n, params.gamma)
+    return State(setup.grid, 0.0, n, model.pressure_from_density(n, params.gamma), c)
+
+
+def _step(state: State, t_stop: float, setup: RunSetup, buffers: _FluxBuffers,
+          nut: _NutrientSolver) -> tuple:
+    """One checked step that ends at t_stop at the latest, landing on it
+    exactly; returns (new state, dt, clipped mass).
+
+    The three stages are looked up in the module namespace at every call, so
+    wrappers installed on solver.cfl_dt / step_density / step_nutrient see
+    every step.
+    """
+    params, spec = setup.params, setup.spec
+    t = state.t
+    G = spec.G(state.p, state.c)
+    dt = min(cfl_dt(state, params, spec, setup.cfl_safety, G=G), t_stop - t)
+    n, p, clipped = step_density(state, dt, params, spec, G=G, _buffers=buffers)
+    c = step_nutrient(state, dt, params, spec, _solver=nut)
+    t = t_stop if t_stop - (t + dt) < 1e-14 else t + dt
+    state = State(state.grid, t, n, p, c)
+    _check_state(state, params)
+    return state, dt, clipped
+
+
+def run(setup: RunSetup) -> Trajectory:
+    """Advance from t = 0 to T, landing exactly on every snapshot mark.
+
+    Any step failure flushes the partial trajectory to setup.out_dir (when
+    set) before re-raising.
+    """
+    g, params = setup.grid, setup.params
+    marks = snapshot_times(setup.T, setup.snapshot_dt)
+    K = len(marks)
+    state = _initial_state(setup)
 
     shape = (K,) + g.shape
     traj = Trajectory(grid=g, params=params, times=marks.copy(),
                       n=np.zeros(shape), p=np.zeros(shape), c=np.zeros(shape),
                       snap_dts=np.zeros(K), dts=np.zeros(0),
                       clipped_mass=0.0,
-                      meta={**setup.meta, **initial_report(g, p)})
-    traj.n[0], traj.p[0], traj.c[0] = n, p, c
+                      meta={**setup.meta, **initial_report(g, state.p)})
+    traj.n[0], traj.p[0], traj.c[0] = state.n, state.p, state.c
 
-    nut = _NutrientSolver(g)
+    buffers, nut = _FluxBuffers(g), _NutrientSolver(g)
     dts = []
     clipped_total = 0.0
-    t = 0.0
-    state = State(g, t, n, p, c)
     wall0 = _time.perf_counter()
     try:
-        for k in range(1, K):
-            mark = marks[k]
+        for k, mark in enumerate(marks.tolist()[1:], start=1):
             last_dt = 0.0
-            while t < mark - 1e-14:
-                dt = min(cfl_dt(state, params, spec, setup.cfl_safety), mark - t)
-                n, p, clipped = step_density(state, dt, params, spec)
-                c = step_nutrient(state, dt, params, spec, _solver=nut)
+            while state.t < mark - 1e-14:
+                state, last_dt, clipped = _step(state, mark, setup, buffers, nut)
                 clipped_total += clipped
-                t = mark if mark - (t + dt) < 1e-14 else t + dt
-                state = State(g, t, n, p, c)
-                _check_state(state, params)
-                dts.append(dt)
-                last_dt = dt
-            t = mark
-            traj.n[k], traj.p[k], traj.c[k] = n, p, c
+                dts.append(last_dt)
+            traj.n[k], traj.p[k], traj.c[k] = state.n, state.p, state.c
             traj.snap_dts[k] = last_dt
-            traj.dts = np.asarray(dts)
-            traj.clipped_mass = clipped_total
     except Exception:
         traj.dts = np.asarray(dts)
         traj.clipped_mass = clipped_total
@@ -491,19 +589,14 @@ def run(setup: RunSetup) -> Trajectory:
 
 
 def iterate_states(setup: RunSetup, max_steps: int):
-    """Yield every integration step (for fine-grained invariant tests)."""
-    g, params, spec = setup.grid, setup.params, setup.spec
-    n = np.array(setup.n0, dtype=float)
-    c = np.array(setup.c0, dtype=float)
-    p = model.pressure_from_density(n, params.gamma)
-    nut = _NutrientSolver(g)
-    state = State(g, 0.0, n, p, c)
+    """Yield the initial state, then the state after each of max_steps steps
+    of the kernel run() uses, with no snapshot marks to land on (for
+    fine-grained invariant tests)."""
+    state = _initial_state(setup)
+    buffers, nut = _FluxBuffers(setup.grid), _NutrientSolver(setup.grid)
     yield state
     for _ in range(max_steps):
-        dt = cfl_dt(state, params, spec, setup.cfl_safety)
-        n, p, _ = step_density(state, dt, params, spec)
-        c = step_nutrient(state, dt, params, spec, _solver=nut)
-        state = State(g, state.t + dt, n, p, c)
+        state, _, _ = _step(state, math.inf, setup, buffers, nut)
         yield state
 
 

@@ -144,7 +144,7 @@ def test_criterion_7_support_barrier(standard_sweep, standard_cfg):
     details = []
     for gamma in GAMMAS:
         traj, rep, setup = standard_sweep[gamma]
-        prm = config_mod.barrier_params(standard_cfg, setup.spec)
+        prm = config_mod.barrier_params(standard_cfg, setup)
         passed, failures = analytic.barrier_check(traj, prm)
         ok &= passed
         details.append(f"g={gamma:g}: {'inside' if passed else f'{len(failures)} outside'}")

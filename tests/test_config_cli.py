@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tumorhs import config as config_mod
-from tumorhs import cli, runio
+from tumorhs import analytic, cli, runio, solver
 from tumorhs.config import ConfigError, parse_config_text
 
 MINIMAL = """
@@ -80,6 +80,45 @@ def test_box_too_small_for_barrier():
         parse_config_text(small, env={})
 
 
+PLATEAU_2D = """
+[model]
+gamma = 20
+[grid]
+dimension = 2
+box_half_width = 3.9
+cells = 96
+[initial]
+builder = plateau
+theta = 0.55
+radius = 1.2
+edge_width = 0.3
+[time]
+horizon = 0.005
+snapshot_dt = 2.5e-3
+[monitors]
+selection = direct
+weight = false
+"""
+
+
+def test_barrier_starts_above_the_initial_pressure():
+    # G0 * S0 from the support radius alone (0.6 * 0.794) lies below the
+    # plateau pressure 0.55, and on 96^2 the support overtakes that ball by
+    # t = 0.0025; S0 >= p0/G0 + |x|^2/2 makes the barrier a super-solution
+    cfg = parse_config_text(PLATEAU_2D, env={})
+    setup, _, _ = config_mod.build_setup(cfg)
+    traj = solver.run(setup)
+    prm = config_mod.barrier_params(cfg, setup)
+    G0 = 0.5 * prm.rate
+    p0, r = traj.p[0], setup.grid.radius
+    inside = p0 > 0.0
+    assert np.all(G0 * (prm.S0 - 0.5 * r[inside] ** 2) >= p0[inside] * (1.0 - 1e-12))
+    ok, fails = analytic.barrier_check(traj, prm)
+    assert ok, fails
+    radius_only = analytic.BarrierParams.for_run(0.5 * (1.05 * 1.2) ** 2, setup.spec)
+    assert not analytic.barrier_check(traj, radius_only)[0]
+
+
 def test_env_override():
     cfg = parse_config_text(MINIMAL, env={"TUMORHS_MODEL__GAMMA": "24"})
     assert cfg.get("model", "gamma") == 24.0
@@ -138,8 +177,15 @@ def test_repeated_runs_bitwise_identical(tmp_path):
     a = next((tmp_path / "a").iterdir())
     b = next((tmp_path / "b").iterdir())
     assert a.name == b.name                     # content-hash naming
-    assert (a / "monitors.csv").read_bytes() == (b / "monitors.csv").read_bytes()
-    assert (a / "fields.bin").read_bytes() == (b / "fields.bin").read_bytes()
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    assert {"fields.bin", "monitors.csv", "summary.json", "timing.json"} <= set(names)
+    for name in names:
+        if name != "timing.json":               # wall-clock runtime lives here
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    timing = json.loads((a / "timing.json").read_text())
+    assert set(timing) == {"runtime_s", "steps", "dt_min", "dt_max"}
+    assert 0.0 < timing["dt_min"] <= timing["dt_max"]
 
 
 def test_report_aggregates_and_refuses_mixed_versions(tmp_path):

@@ -318,6 +318,68 @@ def test_finite_propagation_one_cell_layer_per_step():
         prev = mask
 
 
+def test_run_calls_each_stage_once_per_step_through_the_module(monkeypatch):
+    # wrappers on the module attributes see every step (benchmark tracers rely
+    # on this), and no stage writes into the arrays of its input state or
+    # hands out an array that a later step overwrites
+    calls = {"cfl_dt": 0, "step_density": 0, "step_nutrient": 0}
+    outputs = []
+
+    def counting(name):
+        inner = getattr(solver, name)
+
+        def wrapper(*args, **kwargs):
+            state = args[0]
+            before = [a.copy() for a in (state.n, state.p, state.c)]
+            result = inner(*args, **kwargs)
+            calls[name] += 1
+            for a, b in zip((state.n, state.p, state.c), before):
+                assert np.array_equal(a, b), f"{name} mutated its input state"
+            if name == "step_density":
+                assert isinstance(result[2], float)
+                outputs.extend((result[0], result[0].copy(), result[1], result[1].copy()))
+            elif name == "step_nutrient":
+                outputs.extend((result, result.copy()))
+            return result
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counting(name))
+    traj = run(small_setup())
+    steps = traj.meta["steps"]
+    assert steps > 0 and calls == dict.fromkeys(calls, steps)
+    for out, copy in zip(outputs[::2], outputs[1::2]):
+        assert np.array_equal(out, copy)
+
+
+def test_step_counts_pinned():
+    # the step sequence is part of the bitwise-reproducible output
+    assert run(small_setup()).meta["steps"] == 590
+    params = model.ModelParams(gamma=6.0)
+    g = Grid.symmetric(2, 1.5, 24)
+    n0, _ = solver.initial_plateau(g, params, theta=0.5, radius=0.6, edge=0.25)
+    setup = RunSetup(grid=g, params=params, spec=model.default_reactions(params),
+                     n0=n0, c0=solver.nutrient_uniform(g, params), T=0.02,
+                     snapshot_dt=0.005)
+    assert run(setup).meta["steps"] == 35
+
+
+def test_nutrient_zero_rhs_skips_the_solve():
+    params = model.ModelParams(gamma=5.0)
+    spec = solver.reactions_off(params)
+    g = Grid.symmetric(1, 1.0, 32)
+    state = make_state(g, params, np.full(g.shape, 0.5))
+    nut = solver._NutrientSolver(g)
+
+    def no_lapack(*args):
+        raise AssertionError("a zero right-hand side needs no solve")
+
+    nut._gtsv = no_lapack
+    c_new = step_nutrient(state, 1e-3, params, spec, _solver=nut)
+    assert np.array_equal(c_new, np.full(g.shape, params.c_B))
+    assert c_new is not state.c
+
+
 # ---------------------------------------------------------------------------
 # initial data builders
 # ---------------------------------------------------------------------------
@@ -347,6 +409,29 @@ def test_prerelaxed_profile_is_gamma_uniform():
     # warmup smooths: the relaxed profile has smaller extreme gradients
     _, p_raw = solver.initial_plateau(g, model.ModelParams(gamma=10.0), 0.5, 0.7, 0.3)
     assert float(np.max(np.abs(np.diff(p_a)))) < float(np.max(np.abs(np.diff(p_raw))))
+
+
+def test_prerelaxed_warmup_runs_once_per_inputs(monkeypatch):
+    g = Grid.symmetric(1, 2.0, 96)
+    runs = []
+    real_run = solver.run
+
+    def counting_run(setup):
+        runs.append(setup.params.gamma)
+        return real_run(setup)
+
+    monkeypatch.setattr(solver, "run", counting_run)
+    solver._warmup_pressure.cache_clear()
+    out = {}
+    for gamma in (10.0, 40.0):
+        params = model.ModelParams(gamma=gamma)
+        out[gamma] = solver.initial_prerelaxed(
+            g, params, model.default_reactions(params), theta=0.5, radius=0.7,
+            edge=0.3, t_relax=0.0075)
+    assert runs == [80.0]                     # one warmup, at gamma_prep
+    assert np.array_equal(out[10.0][1], out[40.0][1])
+    out[10.0][1][:] = 0.0                     # callers get their own copy
+    assert np.any(out[40.0][1] > 0.0)
 
 
 def test_initial_from_csv_roundtrip(tmp_path):
