@@ -60,12 +60,13 @@ def _grid_manifest(g: Grid) -> dict:
     return {"dimension": g.dim, "lo": g.lo, "hi": g.hi, "cells": g.n, "h": g.h}
 
 
-def write_fields_binary(path, traj: Trajectory) -> list:
-    """Raw little-endian float64 blocks; returns the byte-offset table."""
+def write_fields_binary(path, traj: Trajectory, snapshots: int | None = None) -> list:
+    """Raw little-endian float64 blocks of the first `snapshots` snapshots
+    (all by default); returns the byte-offset table."""
     offsets = []
     with open(path, "wb") as fh:
         pos = 0
-        for k in range(len(traj)):
+        for k in range(len(traj) if snapshots is None else snapshots):
             for name in FIELD_NAMES:
                 block = np.ascontiguousarray(getattr(traj, name)[k], dtype="<f8")
                 fh.write(block.tobytes())
@@ -146,14 +147,16 @@ def write_run(out_dir, config_text: str, traj: Trajectory,
 
 
 def flush_partial(out_dir, traj: Trajectory) -> None:
-    """Best-effort dump of an aborted run (snapshots recorded so far)."""
+    """Best-effort dump of an aborted run: the traj.meta["snapshots_done"]
+    snapshots it reached (all of them when unset)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    done = traj.meta.get("snapshots_done", len(traj))
     try:
-        write_fields_binary(out_dir / "fields.partial.bin", traj)
+        write_fields_binary(out_dir / "fields.partial.bin", traj, done)
         with open(out_dir / "partial.json", "w", encoding="utf-8") as fh:
-            json.dump({"version": __version__, "snapshots": len(traj),
-                       "times": [float(t) for t in traj.times],
+            json.dump({"version": __version__, "snapshots": done,
+                       "times": [float(t) for t in traj.times[:done]],
                        "note": "aborted run; snapshots up to the failure"}, fh)
     except OSError:
         pass
@@ -165,8 +168,11 @@ def load_summary(run_dir) -> dict:
 
 
 def load_trajectory(run_dir) -> Trajectory:
-    """Rebuild a trajectory (fields and times) from a run directory."""
-    from . import model
+    """Rebuild a trajectory (fields, times and model parameters) from a run
+    directory.  The parameters come from config.echo.cfg; gamma from
+    summary.json when present, since a sweep echoes its base config and
+    passes each gamma as an override."""
+    from . import config
     run_dir = Path(run_dir)
     with open(run_dir / "manifest.json", "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -174,13 +180,14 @@ def load_trajectory(run_dir) -> Trajectory:
     g = Grid(dim=gm["dimension"], lo=gm["lo"], hi=gm["hi"], n=gm["cells"])
     K = manifest["snapshots"]
     raw = np.fromfile(run_dir / "fields.bin", dtype="<f8")
-    per = int(np.prod(g.shape))
     blocks = raw.reshape(K, len(FIELD_NAMES), *g.shape)
     summary = {}
     if (run_dir / "summary.json").exists():
         summary = load_summary(run_dir)
-    gamma = float(summary.get("gamma", 2.0))
-    return Trajectory(grid=g, params=model.ModelParams(gamma=gamma),
+    cfg = config.parse_config_text(
+        (run_dir / "config.echo.cfg").read_text(encoding="utf-8"), env={})
+    params = config._model_params(cfg, summary.get("gamma"))
+    return Trajectory(grid=g, params=params,
                       times=np.asarray(manifest["times"]),
                       n=blocks[:, 0], p=blocks[:, 1], c=blocks[:, 2],
                       snap_dts=np.zeros(K), dts=np.zeros(0),

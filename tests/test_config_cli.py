@@ -169,6 +169,20 @@ def test_run_directory_layout_and_roundtrip(tmp_path, monkeypatch):
     assert head.startswith("t,dt,")
 
 
+def test_reload_restores_every_model_parameter(tmp_path):
+    text = MINIMAL.replace("gamma = 12", "gamma = 12\np_h = 1.2\nc1 = 0.2\nc2 = 0.72")
+    cfg_path = tmp_path / "params.cfg"
+    cfg_path.write_text(text, encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    d = next((tmp_path / "o").iterdir())
+    expected = config_mod._model_params(parse_config_text(text, env={}))
+    assert (expected.p_H, expected.c1, expected.c2) == (1.2, 0.2, 0.72)
+    assert runio.load_trajectory(d).params == expected
+    # without summary.json gamma comes from the echoed config too
+    (d / "summary.json").unlink()
+    assert runio.load_trajectory(d).params == expected
+
+
 def test_repeated_runs_bitwise_identical(tmp_path):
     cfg_path = tmp_path / "mini.cfg"
     cfg_path.write_text(MINIMAL, encoding="utf-8")
@@ -241,6 +255,18 @@ def test_barenblatt_subcommand_small(tmp_path):
                    "--horizon", "0.5"])
     assert rc == 0
     assert (tmp_path / "barenblatt_convergence.csv").exists()
+
+
+def test_barenblatt_csv_repeats_bit_for_bit(tmp_path):
+    args = ["barenblatt-convergence", "--gammas", "3", "--cells", "20", "40"]
+    assert cli.main([*args, "--out", str(tmp_path / "a")]) == 0
+    assert cli.main([*args, "--out", str(tmp_path / "b")]) == 0
+    csv = (tmp_path / "a" / "barenblatt_convergence.csv").read_bytes()
+    assert csv == (tmp_path / "b" / "barenblatt_convergence.csv").read_bytes()
+    assert csv.splitlines()[0] == b"gamma,N,h,l1_error"
+    timing = json.loads((tmp_path / "a" / "barenblatt_timing.json").read_text())
+    assert [(row["gamma"], row["N"]) for row in timing] == [(3.0, 20), (3.0, 40)]
+    assert all(row["runtime_s"] > 0.0 for row in timing)
 
 
 def test_console_script_installed():

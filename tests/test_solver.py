@@ -1,12 +1,15 @@
 """Time stepper: CFL control, conservative density update, IMEX nutrient
 update, full runs, and the self-similar verification study."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import sparse
 from scipy.ndimage import binary_dilation
+from scipy.sparse.linalg import spsolve
 
 from tumorhs import model, solver
 from tumorhs.grid import Grid
@@ -169,6 +172,21 @@ def test_nutrient_heat_equation_exact_discrete_and_continuum():
     lam = (k * math.pi / (2 * L)) ** 2
     exact_continuum = params.c_B - A * mode * math.exp(-lam * dt * steps)
     assert np.max(np.abs(c - exact_continuum)) <= 10.0 * (dt + g.h ** 2)
+    # 2D: a product of sine modes decays by 1/(1 + dt*(lam_1 + lam_2)) per step
+    g = Grid.symmetric(2, L, 32)
+    x, y = g.coords
+    mode = (np.sin(math.pi * (x + L) / (2 * L))
+            * np.sin(2 * math.pi * (y + L) / (2 * L)))
+    c = params.c_B - A * mode
+    state = State(g, 0.0, np.zeros(g.shape), np.zeros(g.shape), c)
+    nut = solver._NutrientSolver(g)
+    lam_h = sum((4.0 / g.h ** 2) * math.sin(k * math.pi * g.h / (4 * L)) ** 2
+                for k in (1, 2))
+    for step in range(1, 51):
+        c = step_nutrient(state, dt, params, spec, _solver=nut)
+        state = State(g, state.t + dt, state.n, state.p, c)
+        exact_discrete = params.c_B - A * mode / (1.0 + dt * lam_h) ** step
+        assert np.max(np.abs(c - exact_discrete)) <= 1e-12
 
 
 def test_nutrient_2d_heat_smoke():
@@ -182,6 +200,56 @@ def test_nutrient_2d_heat_smoke():
     assert c1.shape == g.shape
     assert float(np.min(c1)) >= float(np.min(c0)) - 1e-12   # relaxes upward
     assert float(np.max(c1)) <= params.c_B + 1e-12
+
+
+@pytest.mark.parametrize("cells", [24, 45])
+def test_nutrient_2d_dst_matches_sparse_direct_solve(cells):
+    g = Grid.symmetric(2, 1.3, cells)
+    main = np.full(cells, -2.0)
+    main[0] = main[-1] = -3.0       # the odd ghost folded into the wall cells
+    L1 = sparse.diags([np.ones(cells - 1), main, np.ones(cells - 1)],
+                      [-1, 0, 1]) / g.h ** 2
+    eye = sparse.identity(cells)
+    lap = sparse.kron(L1, eye) + sparse.kron(eye, L1)
+    rhs = np.random.default_rng(cells).uniform(-1.0, 1.0, g.shape)
+    nut = solver._NutrientSolver(g)
+    for dt in (1e-5, 1e-3, 0.1):
+        A = (sparse.identity(cells ** 2) - dt * lap).tocsc()
+        exact = spsolve(A, rhs.ravel())
+        u = nut.solve(rhs, dt)
+        assert np.max(np.abs(u.ravel() - exact)) <= 1e-12 * np.max(np.abs(exact))
+        # the stencil residual check applies the same matrix
+        v = rhs * 0.5
+        stencil = nut._residual(v, rhs, dt / g.h ** 2)
+        assert stencil == pytest.approx(np.max(np.abs(A @ v.ravel() - rhs.ravel())),
+                                        rel=1e-14)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_nutrient_residual_check_catches_a_wrong_solution(dim):
+    g = Grid.symmetric(dim, 1.0, 24)
+    rhs = np.random.default_rng(dim).uniform(-1.0, 1.0, g.shape)
+    nut = solver._NutrientSolver(g)
+    nut.solve(rhs, 1e-3)            # the exact solve passes the check
+
+    def corrupt(u):
+        u = np.array(u)
+        u.flat[7] += 1e-6
+        return u
+
+    if dim == 1:
+        gtsv = nut._gtsv
+
+        def wrong_gtsv(*args):
+            *head, out, info = gtsv(*args)
+            return (*head, corrupt(out), info)
+
+        nut._gtsv = wrong_gtsv
+    else:
+        idstn = nut._idstn
+        nut._idstn = lambda *a, **k: corrupt(idstn(*a, **k))
+    with pytest.raises(SolverError, match="residual"):
+        nut.solve(rhs, 1e-3)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6),
@@ -304,7 +372,34 @@ def test_partial_flush_on_failure(tmp_path):
                      snapshot_dt=0.01, out_dir=tmp_path / "aborted")
     with pytest.raises(SolverError):
         run(setup)
-    assert (tmp_path / "aborted" / "partial.json").exists()
+    # the first step fails, so only the initial snapshot was reached
+    partial = json.loads((tmp_path / "aborted" / "partial.json").read_text())
+    assert partial["snapshots"] == 1 and partial["times"] == [0.0]
+    blocks = np.fromfile(tmp_path / "aborted" / "fields.partial.bin", dtype="<f8")
+    assert np.array_equal(blocks.reshape(1, 3, *g.shape)[0, 0], n0)
+
+
+def test_partial_flush_holds_the_snapshots_reached(tmp_path, monkeypatch):
+    full = run(small_setup())
+    setup = small_setup()
+    setup.out_dir = tmp_path / "aborted"
+    check = solver._check_state
+
+    def fail_late(state, params):
+        check(state, params)
+        if state.t > 0.016:
+            raise SolverError(f"injected failure at t={state.t}")
+
+    monkeypatch.setattr(solver, "_check_state", fail_late)
+    with pytest.raises(SolverError, match="injected"):
+        run(setup)
+    partial = json.loads((setup.out_dir / "partial.json").read_text())
+    assert partial["snapshots"] == 4
+    assert partial["times"] == full.times[:4].tolist()
+    blocks = np.fromfile(setup.out_dir / "fields.partial.bin", dtype="<f8")
+    blocks = blocks.reshape(4, 3, *setup.grid.shape)
+    assert np.array_equal(blocks[:, 0], full.n[:4])
+    assert np.array_equal(blocks[:, 2], full.c[:4])
 
 
 def test_finite_propagation_one_cell_layer_per_step():
@@ -378,6 +473,12 @@ def test_nutrient_zero_rhs_skips_the_solve():
     c_new = step_nutrient(state, 1e-3, params, spec, _solver=nut)
     assert np.array_equal(c_new, np.full(g.shape, params.c_B))
     assert c_new is not state.c
+    g = Grid.symmetric(2, 1.0, 16)
+    state = make_state(g, params, np.full(g.shape, 0.5))
+    nut = solver._NutrientSolver(g)
+    nut._dstn = no_lapack
+    c_new = step_nutrient(state, 1e-3, params, spec, _solver=nut)
+    assert np.array_equal(c_new, np.full(g.shape, params.c_B))
 
 
 # ---------------------------------------------------------------------------
