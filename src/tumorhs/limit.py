@@ -194,17 +194,21 @@ def fit_decay(gammas, values) -> tuple:
 
 
 def _sweep_worker(args):
+    """Run one gamma of a sweep; returns (gamma, result, error) and never raises,
+    so a failing gamma is isolated the same way with one worker or with many."""
     from . import config as config_mod
     cfg_text, gamma, keep = args
-    cfg = config_mod.parse_config_text(cfg_text)
-    setup, zeta, weight_on = config_mod.build_setup(cfg, gamma_override=gamma)
-    t0 = _time.perf_counter()
-    traj = solver.run(setup)
-    weight = monitors.build_weight(setup.grid) if weight_on else None
-    report = monitors.compute_report(traj, setup.spec, zeta=zeta, weight=weight)
-    runtime = _time.perf_counter() - t0
-    payload = traj if keep else None
-    return gamma, report.accum, report.meta, runtime, payload
+    try:
+        cfg = config_mod.parse_config_text(cfg_text)
+        setup, zeta, weight_on = config_mod.build_setup(cfg, gamma_override=gamma)
+        t0 = _time.perf_counter()
+        traj = solver.run(setup)
+        weight = monitors.build_weight(setup.grid) if weight_on else None
+        report = monitors.compute_report(traj, setup.spec, zeta=zeta, weight=weight)
+        runtime = _time.perf_counter() - t0
+    except Exception as exc:   # noqa: BLE001 - per-run isolation
+        return gamma, None, repr(exc)
+    return gamma, (report.accum, report.meta, runtime, traj if keep else None), None
 
 
 def gamma_sweep(cfg_text: str, gammas, workers: int = 1,
@@ -212,30 +216,30 @@ def gamma_sweep(cfg_text: str, gammas, workers: int = 1,
     """Run the configured experiment once per gamma and fit the decays.
 
     Per-gamma runs are independent and deterministic, so the pool size cannot
-    change any output.  Returns (SweepReport, {gamma: Trajectory} or {}).
+    change any output; a gamma that fails is listed in `failed` either way.
+    Returns (SweepReport, {gamma: Trajectory} or {}).
     """
     gammas = sorted(float(g) for g in gammas)
     if len(gammas) != len(set(gammas)):
         raise ValueError("gamma list must be strictly increasing")
     jobs = [(cfg_text, g, keep_trajectories) for g in gammas]
-    results = {}
-    failed = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for gamma, out in zip(gammas, pool.map(_sweep_worker, jobs)):
-                results[gamma] = out
+            outcomes = list(pool.map(_sweep_worker, jobs))
     else:
-        for job in jobs:
-            gamma = job[1]
-            try:
-                results[gamma] = _sweep_worker(job)
-            except Exception as exc:   # noqa: BLE001 - per-run isolation
-                failed.append((gamma, repr(exc)))
+        outcomes = [_sweep_worker(job) for job in jobs]
+    results = {}
+    failed = []
+    for gamma, out, err in outcomes:
+        if err is None:
+            results[gamma] = out
+        else:
+            failed.append((gamma, err))
     rows = []
     trajectories = {}
     ok_gammas = [g for g in gammas if g in results]
     for g in ok_gammas:
-        _, accum, meta, runtime, payload = results[g]
+        accum, meta, runtime, payload = results[g]
         row = dict(accum)
         row["gamma"] = g
         row["runtime_s"] = runtime

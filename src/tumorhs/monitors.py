@@ -18,14 +18,21 @@ is evaluated with the grid quadrature for a compactly supported space-time
 bump zeta; |rhs| is the complementarity residual that must vanish in the stiff
 limit, |lhs - rhs| the discrete consistency defect (reported, not asserted).
 
-Space integrals are midpoint-rule sums, time accumulation is left-endpoint
-over the snapshot intervals, so every accumulator is exactly additive over
-time partitions.
+Everything is measured in one pass over the history, a block of snapshots at
+a time: each derivative (grad p, grad c, Lap p, Lap c, the Hessian terms),
+G, Gbar and w is computed once per block, vectorised over the snapshot axis,
+and every series value and per-interval integrand is reduced over the space
+axes of the block.  The per-snapshot range functions (ab_negative_l3, ...,
+complementarity_residual) select from the same pass.
+
+Space integrals are midpoint-rule sums.  Time accumulation is left-endpoint
+over the snapshot intervals, added one interval at a time in time order, so
+every accumulator is exactly additive over time partitions and each output
+has the bits a loop over single snapshots gives it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,78 +144,186 @@ def energy(state: State, spec: model.ReactionSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# space-time accumulators (left endpoints over [k0, k1))
+# the monitor pass
 # ---------------------------------------------------------------------------
 
-def _interval_weights(traj: Trajectory, k0: int, k1: int):
-    dts = np.diff(traj.times)
-    for k in range(k0, min(k1, len(traj) - 1)):
-        yield k, float(dts[k])
+# Cells per block of the pass: max(1, _BLOCK_CELLS // cells) snapshots go
+# through each numpy call together (15 at 272 cells, one at 128^2), so the
+# per-call overhead is paid once per block while each temporary holds about
+# 4096 cells (one snapshot where a snapshot is larger).
+_BLOCK_CELLS = 4096
 
+
+def _scan(traj: Trajectory, k0: int, k1: int, spec: model.ReactionSpec | None = None,
+          zeta: TestFunction | None = None,
+          weight: WeightFunction | None = None) -> dict:
+    """One pass over the snapshots k0 <= k < k1, a block of them at a time.
+
+    Returns name -> array over those snapshots: the per-snapshot series
+    values (unscaled sums where the series is an integral) and, for each
+    space-time accumulator, the space sum of its integrand at k.  The
+    difference quotients exist only for k < K - 1, where k + 1 does.  Each
+    derivative is computed once per block, each snapshot gets exactly the
+    bits it gets alone, and without spec the reaction-dependent entries
+    (and those of zeta and weight) are left out.
+    """
+    g = traj.grid
+    dim, h = g.dim, g.h
+    K = len(traj)
+    axes = tuple(range(1, dim + 1))
+    c_B = traj.params.c_B
+    bc_c = dirichlet(c_B)
+    dts = np.diff(traj.times)
+    col = (slice(None),) + (None,) * dim   # a per-snapshot vector against a block
+    if zeta is not None:
+        zeta.check_support(g, float(traj.times[-1]))
+        bump, bump_grad = zeta.space_factors(g)
+        z_t, z_dt = zeta.time_factors(traj.times)
+    if weight is not None:
+        weight.verify()
+    parts = {}
+
+    def put(name, block_sums):
+        parts.setdefault(name, []).append(block_sums)
+
+    size = max(1, _BLOCK_CELLS // traj.n[0].size)
+    for a in range(k0, k1, size):
+        b = min(a + size, k1)
+        n, p, c = traj.n[a:b], traj.p[a:b], traj.c[a:b]
+        put("mass", np.sum(n, axis=axes))
+        put("linf_n", np.max(n, axis=axes))
+        put("l1_n", np.sum(np.abs(n), axis=axes))
+        put("linf_p", np.max(p, axis=axes))
+        put("l1_p", np.sum(np.abs(p), axis=axes))
+        put("l1_c_dev", np.sum(np.abs(c - c_B), axis=axes))
+        put("graph_residual", np.max(p * (1.0 - n), axis=axes))
+        put("support_radius", np.max(np.where(n > 1e-12, g.radius, 0.0), axis=axes))
+
+        grads = gradient_array(p, h, DIRICHLET_ZERO, dim)
+        gsq = sum(x * x for x in grads)
+        lap = laplacian_array(p, h, DIRICHLET_ZERO, dim)
+        put("grad_p_sq", np.sum(gsq, axis=axes))
+        put("grad_p_l4", np.sum(gsq * gsq, axis=axes))
+        put("lap_l1", np.sum(np.abs(lap), axis=axes))
+
+        gc_sq = sum(x * x for x in gradient_array(c, h, bc_c, dim))
+        lap_c = laplacian_array(c, h, bc_c, dim)
+        put("grad_c_sq", np.sum(gc_sq, axis=axes))
+        put("grad_c_l4", np.sum(gc_sq * gc_sq, axis=axes))
+        put("lap_c_l2_sq", np.sum(lap_c * lap_c, axis=axes))
+
+        # forward difference quotients between snapshots k and k + 1
+        m = min(b, K - 1) - a
+        if m > 0:
+            dt = dts[a:a + m][col]
+            dn = (traj.n[a + 1:a + m + 1] - n[:m]) / dt
+            dp = (traj.p[a + 1:a + m + 1] - p[:m]) / dt
+            dc = (traj.c[a + 1:a + m + 1] - c[:m]) / dt
+            put("dt_n_l1", np.sum(np.abs(dn), axis=axes))
+            put("dt_p_l1", np.sum(np.abs(dp), axis=axes))
+            put("dt_c_l1", np.sum(np.abs(dc), axis=axes))
+            put("dt_c_l2_sq", np.sum(dc * dc, axis=axes))
+
+        if spec is None:
+            continue
+        G = spec.G(p, c)
+        w = lap + G
+        w_neg3 = np.maximum(-w, 0.0) ** 3
+        put("w_min", np.min(w, axis=axes))
+        put("energy", np.sum(0.5 * gsq - model.eval_Gbar(p, c, spec), axis=axes))
+        put("ab_neg_l3", np.sum(w_neg3, axis=axes))
+        put("diss_w", np.sum(p * w * w, axis=axes))
+        hess = 0.0
+        for i in range(dim):
+            for j in range(dim):
+                d2 = (second_diff_array(p, i, i, h, DIRICHLET_ZERO, dim) if i == j
+                      else gradient_array(grads[i], h, DIRICHLET_ZERO, dim)[j])
+                hess += d2 * d2
+        put("diss_h", np.sum(p * hess, axis=axes))
+        if weight is not None:
+            put("weighted_ab_neg_l3", np.sum(w_neg3 * weight.values, axis=axes))
+        if zeta is not None:
+            t_fac = z_t[a:b][col]
+            zv = bump * t_fac
+            zdt = bump * z_dt[a:b][col]
+            put("compl_lhs", np.sum(p * zdt + gsq * zv, axis=axes))
+            pdotz = sum(gx * (zg * t_fac) for gx, zg in zip(grads, bump_grad))
+            put("compl_rhs", np.sum(-gsq * zv - p * pdotz + p * G * zv, axis=axes))
+    return {name: np.concatenate(blocks) for name, blocks in parts.items()}
+
+
+def _interval_scan(traj: Trajectory, k0: int, k1: int | None, **kwargs) -> dict:
+    """The pass over the left endpoints k0 <= k < min(k1, K - 1)."""
+    stop = min(len(traj) if k1 is None else k1, len(traj) - 1)
+    return _scan(traj, k0, max(stop, k0), **kwargs)
+
+
+def _accumulate(traj: Trajectory, sums: dict, name: str, k0: int = 0) -> float:
+    """Left-endpoint rule over the intervals from k0 on, added in k order:
+    sum_k s_k * h^d * dt_k with s_k = sums[name][k - k0]."""
+    hd = traj.grid.cell_volume
+    total = 0.0
+    if name in sums:
+        for s, dt in zip(sums[name].tolist(), np.diff(traj.times)[k0:].tolist()):
+            total += s * hd * dt
+    return total
+
+
+def _dissipation(traj: Trajectory, sums: dict, k0: int = 0) -> tuple:
+    return ((traj.params.gamma - 1.0) * _accumulate(traj, sums, "diss_w", k0),
+            _accumulate(traj, sums, "diss_h", k0))
+
+
+def _complementarity(traj: Trajectory, zeta: TestFunction, sums: dict,
+                     k0: int = 0) -> tuple:
+    gamma = traj.params.gamma
+    lhs = -_accumulate(traj, sums, "compl_lhs", k0) / gamma
+    rhs = _accumulate(traj, sums, "compl_rhs", k0)
+    p_l1 = _accumulate(traj, sums, "l1_p", k0)
+    gp_l2 = _accumulate(traj, sums, "grad_p_sq", k0)
+    zmax, dtmax = zeta.sup_norms(traj.grid, traj.times[:-1])
+    info = {
+        "defect": abs(lhs - rhs),
+        "lhs_bound": (p_l1 * dtmax + gp_l2 * zmax) / gamma,
+        "p_l1_spacetime": p_l1,
+        "grad_p_l2_sq_spacetime": gp_l2,
+        "zeta_sup": zmax,
+        "zeta_dt_sup": dtmax,
+    }
+    return lhs, rhs, info
+
+
+# ---------------------------------------------------------------------------
+# space-time accumulators over the left endpoints k0 <= k < k1
+# ---------------------------------------------------------------------------
 
 def ab_negative_l3(traj: Trajectory, spec: model.ReactionSpec,
                    k0: int = 0, k1: int | None = None) -> float:
     """intint |w|_-^3 over the selected snapshot range."""
-    g = traj.grid
-    total = 0.0
-    for k, dt in _interval_weights(traj, k0, k1 if k1 is not None else len(traj)):
-        w = ab_field(traj.state(k), spec)
-        total += float(np.sum(np.maximum(-w, 0.0) ** 3)) * g.cell_volume * dt
-    return total
+    return _accumulate(traj, _interval_scan(traj, k0, k1, spec=spec), "ab_neg_l3", k0)
 
 
 def laplacian_l1(traj: Trajectory, k0: int = 0, k1: int | None = None) -> float:
-    g = traj.grid
-    total = 0.0
-    for k, dt in _interval_weights(traj, k0, k1 if k1 is not None else len(traj)):
-        lap = laplacian_array(traj.p[k], g.h, DIRICHLET_ZERO)
-        total += float(np.sum(np.abs(lap))) * g.cell_volume * dt
-    return total
+    return _accumulate(traj, _interval_scan(traj, k0, k1), "lap_l1", k0)
 
 
 def weighted_ab_l3(traj: Trajectory, weight: WeightFunction,
                    spec: model.ReactionSpec, k0: int = 0,
                    k1: int | None = None) -> float:
     """intint |w|_-^3 Phi; Phi's pointwise bounds are re-verified first."""
-    weight.verify()
-    g = traj.grid
-    total = 0.0
-    for k, dt in _interval_weights(traj, k0, k1 if k1 is not None else len(traj)):
-        w = ab_field(traj.state(k), spec)
-        total += float(np.sum(np.maximum(-w, 0.0) ** 3 * weight.values)) \
-            * g.cell_volume * dt
-    return total
+    sums = _interval_scan(traj, k0, k1, spec=spec, weight=weight)
+    return _accumulate(traj, sums, "weighted_ab_neg_l3", k0)
 
 
 def grad_p_l4(traj: Trajectory, k0: int = 0, k1: int | None = None) -> float:
     """intint |grad p|^4 (centered differences)."""
-    g = traj.grid
-    total = 0.0
-    for k, dt in _interval_weights(traj, k0, k1 if k1 is not None else len(traj)):
-        grads = gradient_array(traj.p[k], g.h, DIRICHLET_ZERO)
-        gsq = sum(gc * gc for gc in grads)
-        total += float(np.sum(gsq * gsq)) * g.cell_volume * dt
-    return total
+    return _accumulate(traj, _interval_scan(traj, k0, k1), "grad_p_l4", k0)
 
 
 def dissipation(traj: Trajectory, spec: model.ReactionSpec, k0: int = 0,
                 k1: int | None = None) -> tuple:
     """((gamma-1) intint p|w|^2, intint p sum_ij (d2_ij p)^2)."""
-    g = traj.grid
-    gamma = traj.params.gamma
-    total_w = 0.0
-    total_h = 0.0
-    for k, dt in _interval_weights(traj, k0, k1 if k1 is not None else len(traj)):
-        p = traj.p[k]
-        w = ab_field(traj.state(k), spec)
-        total_w += float(np.sum(p * w * w)) * g.cell_volume * dt
-        hess = 0.0
-        for i in range(g.dim):
-            for j in range(g.dim):
-                d2 = second_diff_array(p, i, j, g.h, DIRICHLET_ZERO)
-                hess += d2 * d2
-        total_h += float(np.sum(p * hess)) * g.cell_volume * dt
-    return (gamma - 1.0) * total_w, total_h
+    return _dissipation(traj, _interval_scan(traj, k0, k1, spec=spec), k0)
 
 
 def complementarity_residual(traj: Trajectory, zeta: TestFunction,
@@ -219,41 +334,8 @@ def complementarity_residual(traj: Trajectory, zeta: TestFunction,
 
     Returns (lhs, rhs, info) where info carries the defect and bound pieces.
     """
-    g = traj.grid
-    zeta.check_support(g, float(traj.times[-1]))
-    gamma = traj.params.gamma
-    hd = g.cell_volume
-    lhs_acc = 0.0
-    rhs_acc = 0.0
-    p_l1_acc = 0.0
-    gp_l2_acc = 0.0
-    for k, dt in _interval_weights(traj, k0, k1 if k1 is not None else len(traj)):
-        t = float(traj.times[k])
-        p = traj.p[k]
-        zv = zeta.value(g, t)
-        zdt = zeta.dt(g, t)
-        zgrad = zeta.grad(g, t)
-        grads = gradient_array(p, g.h, DIRICHLET_ZERO)
-        gsq = sum(gc * gc for gc in grads)
-        lhs_acc += float(np.sum(p * zdt + gsq * zv)) * hd * dt
-        pdotz = sum(gc * zg for gc, zg in zip(grads, zgrad))
-        rhs_acc += float(np.sum(-gsq * zv - p * pdotz
-                                + p * spec.G(p, traj.c[k]) * zv)) * hd * dt
-        p_l1_acc += float(np.sum(np.abs(p))) * hd * dt
-        gp_l2_acc += float(np.sum(gsq)) * hd * dt
-    lhs = -lhs_acc / gamma
-    rhs = rhs_acc
-    zmax, dtmax = zeta.sup_norms(g, traj.times[:-1])
-    bound = (p_l1_acc * dtmax + gp_l2_acc * zmax) / gamma
-    info = {
-        "defect": abs(lhs - rhs),
-        "lhs_bound": bound,
-        "p_l1_spacetime": p_l1_acc,
-        "grad_p_l2_sq_spacetime": gp_l2_acc,
-        "zeta_sup": zmax,
-        "zeta_dt_sup": dtmax,
-    }
-    return lhs, rhs, info
+    sums = _interval_scan(traj, k0, k1, spec=spec, zeta=zeta)
+    return _complementarity(traj, zeta, sums, k0)
 
 
 # ---------------------------------------------------------------------------
@@ -266,58 +348,36 @@ SERIES_COLUMNS = [
     "w_min",
 ]
 
+_DIRECT_ACCUM = ("grad_c_l4", "lap_c_l2_sq", "dt_c_l2_sq", "dt_n_l1", "dt_p_l1",
+                 "dt_c_l1")
+
+
+def _direct_report(traj: Trajectory, sums: dict) -> MonitorReport:
+    hd = traj.grid.cell_volume
+    series = {
+        "t": traj.times.copy(),
+        "dt": traj.snap_dts.copy(),
+        "mass": sums["mass"] * hd,
+        "linf_n": sums["linf_n"],
+        "l1_n": sums["l1_n"] * hd,
+        "linf_p": sums["linf_p"],
+        "l1_p": sums["l1_p"] * hd,
+        "l1_c_dev": sums["l1_c_dev"] * hd,
+        "l2_grad_c": np.sqrt(sums["grad_c_sq"] * hd),
+        "l2_grad_p": np.sqrt(sums["grad_p_sq"] * hd),
+        "energy": sums["energy"] * hd,
+        "graph_residual": sums["graph_residual"],
+        "support_radius": sums["support_radius"],
+        "w_min": sums["w_min"],
+    }
+    accum = {name: _accumulate(traj, sums, name) for name in _DIRECT_ACCUM}
+    return MonitorReport(series=series, accum=accum, meta={"gamma": traj.params.gamma})
+
 
 def direct_estimates(traj: Trajectory, spec: model.ReactionSpec) -> MonitorReport:
     """Per-snapshot norms plus the accumulated bounds on c's derivatives and
     the time-difference quotients of (n, p, c)."""
-    g = traj.grid
-    params = traj.params
-    hd = g.cell_volume
-    K = len(traj)
-    bc_c = dirichlet(params.c_B)
-
-    series = {name: np.zeros(K) for name in SERIES_COLUMNS}
-    series["t"] = traj.times.copy()
-    series["dt"] = traj.snap_dts.copy()
-    for k in range(K):
-        n, p, c = traj.n[k], traj.p[k], traj.c[k]
-        series["mass"][k] = float(np.sum(n)) * hd
-        series["linf_n"][k] = float(np.max(n))
-        series["l1_n"][k] = float(np.sum(np.abs(n))) * hd
-        series["linf_p"][k] = float(np.max(p))
-        series["l1_p"][k] = float(np.sum(np.abs(p))) * hd
-        series["l1_c_dev"][k] = float(np.sum(np.abs(c - params.c_B))) * hd
-        gc = gradient_array(c, g.h, bc_c)
-        series["l2_grad_c"][k] = math.sqrt(float(np.sum(sum(x * x for x in gc))) * hd)
-        gp = gradient_array(p, g.h, DIRICHLET_ZERO)
-        series["l2_grad_p"][k] = math.sqrt(float(np.sum(sum(x * x for x in gp))) * hd)
-        series["energy"][k] = energy(traj.state(k), spec)
-        series["graph_residual"][k] = graph_residual(traj.state(k))
-        supp = traj.n[k] > 1e-12
-        series["support_radius"][k] = float(np.max(g.radius[supp])) if np.any(supp) else 0.0
-        series["w_min"][k] = float(np.min(ab_field(traj.state(k), spec)))
-
-    accum = {
-        "grad_c_l4": 0.0, "lap_c_l2_sq": 0.0, "dt_c_l2_sq": 0.0,
-        "dt_n_l1": 0.0, "dt_p_l1": 0.0, "dt_c_l1": 0.0,
-    }
-    for k, dt in _interval_weights(traj, 0, K):
-        c = traj.c[k]
-        gc = gradient_array(c, g.h, bc_c)
-        gsq = sum(x * x for x in gc)
-        accum["grad_c_l4"] += float(np.sum(gsq * gsq)) * hd * dt
-        lap_c = laplacian_array(c, g.h, bc_c)
-        accum["lap_c_l2_sq"] += float(np.sum(lap_c * lap_c)) * hd * dt
-        # forward difference quotients between snapshots
-        dn = (traj.n[k + 1] - traj.n[k]) / dt
-        dp = (traj.p[k + 1] - traj.p[k]) / dt
-        dc = (traj.c[k + 1] - traj.c[k]) / dt
-        accum["dt_n_l1"] += float(np.sum(np.abs(dn))) * hd * dt
-        accum["dt_p_l1"] += float(np.sum(np.abs(dp))) * hd * dt
-        accum["dt_c_l1"] += float(np.sum(np.abs(dc))) * hd * dt
-        accum["dt_c_l2_sq"] += float(np.sum(dc * dc)) * hd * dt
-    return MonitorReport(series=series, accum=accum,
-                         meta={"gamma": params.gamma})
+    return _direct_report(traj, _scan(traj, 0, len(traj), spec))
 
 
 # ---------------------------------------------------------------------------
@@ -327,19 +387,21 @@ def direct_estimates(traj: Trajectory, spec: model.ReactionSpec) -> MonitorRepor
 def compute_report(traj: Trajectory, spec: model.ReactionSpec,
                    zeta: TestFunction | None = None,
                    weight: WeightFunction | None = None) -> MonitorReport:
-    """All monitors for one trajectory; the report is what runs write to disk."""
-    report = direct_estimates(traj, spec)
-    report.accum["ab_neg_l3"] = ab_negative_l3(traj, spec)
-    report.accum["lap_l1"] = laplacian_l1(traj)
-    report.accum["grad_p_l4"] = grad_p_l4(traj)
-    diss_w, diss_h = dissipation(traj, spec)
+    """All monitors for one trajectory from one pass over its snapshots; the
+    report is what runs write to disk."""
+    sums = _scan(traj, 0, len(traj), spec, zeta, weight)
+    report = _direct_report(traj, sums)
+    report.accum["ab_neg_l3"] = _accumulate(traj, sums, "ab_neg_l3")
+    report.accum["lap_l1"] = _accumulate(traj, sums, "lap_l1")
+    report.accum["grad_p_l4"] = _accumulate(traj, sums, "grad_p_l4")
+    diss_w, diss_h = _dissipation(traj, sums)
     report.accum["diss_pressure_weighted"] = diss_w
     report.accum["diss_hessian"] = diss_h
     if weight is not None:
-        report.accum["weighted_ab_neg_l3"] = weighted_ab_l3(traj, weight, spec)
+        report.accum["weighted_ab_neg_l3"] = _accumulate(traj, sums, "weighted_ab_neg_l3")
         report.meta["C_phi"] = weight.C_phi
     if zeta is not None:
-        lhs, rhs, info = complementarity_residual(traj, zeta, spec)
+        lhs, rhs, info = _complementarity(traj, zeta, sums)
         report.accum["compl_lhs"] = lhs
         report.accum["compl_rhs"] = rhs
         report.accum["compl_defect"] = info["defect"]

@@ -608,11 +608,20 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def barenblatt_cell_averages(g: Grid, t: float, prm) -> np.ndarray:
-    """Exact profile projected onto cells (1D), matching what the scheme evolves."""
-    from .analytic import barenblatt_density
+    """Exact profile averaged over each cell (1D), matching what the scheme evolves.
+
+    The profile is smooth on its support but behaves like (R - |x|)^(1/(m-1))
+    at the front x = +-R(t), so each cell is clipped to [-R, R] before the
+    Gauss-Legendre rule is applied to it.
+    """
+    from .analytic import barenblatt_density, barenblatt_support_radius
+    R = barenblatt_support_radius(t, prm)
     x = g.axis_centers
-    pts = x[:, None] + 0.5 * g.h * _GL_NODES[None, :]
-    return 0.5 * barenblatt_density(np.abs(pts), t, prm) @ _GL_WEIGHTS
+    lo = np.clip(x - 0.5 * g.h, -R, R)
+    hi = np.clip(x + 0.5 * g.h, -R, R)
+    half = 0.5 * (hi - lo)
+    pts = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES[None, :]
+    return (half / g.h) * (barenblatt_density(np.abs(pts), t, prm) @ _GL_WEIGHTS)
 
 
 def barenblatt_convergence(gamma: float, Ns, T: float = 1.0, L: float | None = None,

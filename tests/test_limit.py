@@ -213,6 +213,20 @@ def test_sweep_results_independent_of_worker_count():
     assert rep1.fit_graph_residual == rep2.fit_graph_residual
 
 
+def test_failing_gamma_isolated_with_any_worker_count():
+    # gamma = 1 is outside the model (gamma > 1 required) and must not take
+    # the other gammas down, with or without a pool
+    reports = [gamma_sweep(TINY_SWEEP_CFG, [1.0, 8.0, 16.0], workers=w)[0]
+               for w in (1, 2)]
+    for rep in reports:
+        assert rep.gammas == [8.0, 16.0]
+        assert [g for g, _ in rep.failed] == [1.0]
+    assert reports[0].failed == reports[1].failed
+    for r1, r2 in zip(reports[0].rows, reports[1].rows):
+        assert {k: v for k, v in r1.items() if k != "runtime_s"} == \
+            {k: v for k, v in r2.items() if k != "runtime_s"}
+
+
 def test_sweep_keeps_trajectories_when_asked():
     report, trajs = gamma_sweep(TINY_SWEEP_CFG, [8.0, 16.0], keep_trajectories=True)
     assert set(trajs) == {8.0, 16.0}

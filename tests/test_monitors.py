@@ -1,9 +1,11 @@
 """Estimate monitors on synthetic trajectories with closed-form oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
-from tumorhs import model, monitors, solver
+from tumorhs import grid, model, monitors, solver
 from tumorhs.grid import DIRICHLET_ZERO, Grid, TestFunction, laplacian_array
 from tumorhs.monitors import (ab_field, ab_negative_l3, build_weight,
                               complementarity_residual, direct_estimates,
@@ -334,3 +336,192 @@ def test_compute_report_has_all_accumulators():
                 "compl_lhs_bound", "weighted_ab_neg_l3", "graph_residual_max"):
         assert key in rep.accum, key
     assert all(len(v) == len(traj) for v in rep.series.values())
+
+
+# ---------------------------------------------------------------------------
+# the blocked pass against a per-snapshot reference loop
+# ---------------------------------------------------------------------------
+
+def reference_report(traj, spec, zeta=None, weight=None, k0=0, k1=None):
+    """compute_report one snapshot at a time, from the single-state
+    functionals and the grid stencils: (series, accum, meta)."""
+    g = traj.grid
+    hd = g.cell_volume
+    K = len(traj)
+    bc_c = grid.dirichlet(traj.params.c_B)
+    series = {name: np.zeros(K) for name in monitors.SERIES_COLUMNS}
+    series["t"] = traj.times.copy()
+    series["dt"] = traj.snap_dts.copy()
+    for k in range(K):
+        n, p, c = traj.n[k], traj.p[k], traj.c[k]
+        state = traj.state(k)
+        series["mass"][k] = float(np.sum(n)) * hd
+        series["linf_n"][k] = float(np.max(n))
+        series["l1_n"][k] = float(np.sum(np.abs(n))) * hd
+        series["linf_p"][k] = float(np.max(p))
+        series["l1_p"][k] = float(np.sum(np.abs(p))) * hd
+        series["l1_c_dev"][k] = float(np.sum(np.abs(c - traj.params.c_B))) * hd
+        gc = grid.gradient_array(c, g.h, bc_c)
+        series["l2_grad_c"][k] = math.sqrt(float(np.sum(sum(x * x for x in gc))) * hd)
+        gp = grid.gradient_array(p, g.h, DIRICHLET_ZERO)
+        series["l2_grad_p"][k] = math.sqrt(float(np.sum(sum(x * x for x in gp))) * hd)
+        series["energy"][k] = energy(state, spec)
+        series["graph_residual"][k] = graph_residual(state)
+        supp = n > 1e-12
+        series["support_radius"][k] = float(np.max(g.radius[supp])) if np.any(supp) else 0.0
+        series["w_min"][k] = float(np.min(ab_field(state, spec)))
+
+    names = ["grad_c_l4", "lap_c_l2_sq", "dt_c_l2_sq", "dt_n_l1", "dt_p_l1", "dt_c_l1",
+             "ab_neg_l3", "lap_l1", "grad_p_l4", "diss_w", "diss_h",
+             "weighted_ab_neg_l3", "compl_lhs", "compl_rhs", "p_l1", "gp_l2"]
+    acc = dict.fromkeys(names, 0.0)
+    dts = np.diff(traj.times)
+    for k in range(k0, min(K if k1 is None else k1, K - 1)):
+        dt = float(dts[k])
+        n, p, c = traj.n[k], traj.p[k], traj.c[k]
+        state = traj.state(k)
+
+        def add(name, integrand):
+            acc[name] += float(np.sum(integrand)) * hd * dt
+
+        gc = grid.gradient_array(c, g.h, bc_c)
+        gcsq = sum(x * x for x in gc)
+        add("grad_c_l4", gcsq * gcsq)
+        lap_c = grid.laplacian_array(c, g.h, bc_c)
+        add("lap_c_l2_sq", lap_c * lap_c)
+        dn = (traj.n[k + 1] - n) / dt
+        dp = (traj.p[k + 1] - p) / dt
+        dc = (traj.c[k + 1] - c) / dt
+        add("dt_n_l1", np.abs(dn))
+        add("dt_p_l1", np.abs(dp))
+        add("dt_c_l1", np.abs(dc))
+        add("dt_c_l2_sq", dc * dc)
+        w = ab_field(state, spec)
+        add("ab_neg_l3", np.maximum(-w, 0.0) ** 3)
+        add("lap_l1", np.abs(laplacian_array(p, g.h, DIRICHLET_ZERO)))
+        grads = grid.gradient_array(p, g.h, DIRICHLET_ZERO)
+        gsq = sum(x * x for x in grads)
+        add("grad_p_l4", gsq * gsq)
+        add("diss_w", p * w * w)
+        hess = 0.0
+        for i in range(g.dim):
+            for j in range(g.dim):
+                d2 = grid.second_diff_array(p, i, j, g.h, DIRICHLET_ZERO)
+                hess += d2 * d2
+        add("diss_h", p * hess)
+        if weight is not None:
+            add("weighted_ab_neg_l3", np.maximum(-w, 0.0) ** 3 * weight.values)
+        if zeta is not None:
+            t = float(traj.times[k])
+            zv, zdt, zgrad = zeta.value(g, t), zeta.dt(g, t), zeta.grad(g, t)
+            add("compl_lhs", p * zdt + gsq * zv)
+            pdotz = sum(gx * zg for gx, zg in zip(grads, zgrad))
+            add("compl_rhs", -gsq * zv - p * pdotz + p * spec.G(p, c) * zv)
+            add("p_l1", np.abs(p))
+            add("gp_l2", gsq)
+
+    gamma = traj.params.gamma
+    accum = {name: acc[name] for name in names[:9]}
+    accum["diss_pressure_weighted"] = (gamma - 1.0) * acc["diss_w"]
+    accum["diss_hessian"] = acc["diss_h"]
+    meta = {"gamma": gamma}
+    if weight is not None:
+        accum["weighted_ab_neg_l3"] = acc["weighted_ab_neg_l3"]
+        meta["C_phi"] = weight.C_phi
+    if zeta is not None:
+        lhs = -acc["compl_lhs"] / gamma
+        rhs = acc["compl_rhs"]
+        # sup norms by brute force over every cell and every left endpoint
+        zmax = max(float(np.max(zeta.value(g, t))) for t in traj.times[:-1])
+        dtmax = max(float(np.max(np.abs(zeta.dt(g, t)))) for t in traj.times[:-1])
+        accum["compl_lhs"] = lhs
+        accum["compl_rhs"] = rhs
+        accum["compl_defect"] = abs(lhs - rhs)
+        accum["compl_lhs_bound"] = (acc["p_l1"] * dtmax + acc["gp_l2"] * zmax) / gamma
+        meta["zeta_sup"] = zmax
+        meta["zeta_dt_sup"] = dtmax
+    accum["graph_residual_max"] = float(np.max(series["graph_residual"]))
+    accum["energy_max"] = float(np.max(series["energy"]))
+    meta["clipped_mass"] = traj.clipped_mass
+    meta["steps"] = int(traj.meta.get("steps", 0))
+    return series, accum, meta
+
+
+def assert_same_bits(got: dict, want: dict):
+    """Same keys in the same order and the same bits (signed zeros included)."""
+    assert list(got) == list(want)
+    for key in want:
+        a, b = np.asarray(got[key]), np.asarray(want[key])
+        assert a.dtype == b.dtype and a.shape == b.shape, key
+        assert a.tobytes() == b.tobytes(), (key, got[key], want[key])
+
+
+def blocked_run(dim, cells, T, snapshot_dt, gamma):
+    params = model.ModelParams(gamma=gamma)
+    spec = model.default_reactions(params)
+    g = Grid.symmetric(dim, 1.5, cells)
+    n0, _ = solver.initial_plateau(g, params, theta=0.5, radius=0.6, edge=0.25)
+    setup = solver.RunSetup(grid=g, params=params, spec=spec, n0=n0,
+                            c0=solver.nutrient_uniform(g, params), T=T,
+                            snapshot_dt=snapshot_dt)
+    zeta = TestFunction(center=(0.0,) * dim, radius=0.8, t_center=0.5 * T,
+                        t_halfwidth=0.4 * T)
+    return solver.run(setup), spec, zeta, build_weight(g)
+
+
+@pytest.fixture(scope="module")
+def run_1d_blocks():
+    # 96 cells: 42 snapshots per block, so 51 snapshots make a full block and
+    # a remainder of 9
+    return blocked_run(1, 96, T=0.1, snapshot_dt=0.002, gamma=15.0)
+
+
+def block_size(traj):
+    return max(1, monitors._BLOCK_CELLS // traj.n[0].size)
+
+
+@pytest.mark.parametrize("case", ["1d", "2d"])
+def test_blocked_report_equals_per_snapshot_loop(case, run_1d_blocks):
+    if case == "1d":
+        traj, spec, zeta, weight = run_1d_blocks
+    else:
+        # 24^2 cells: 7 snapshots per block, 11 snapshots
+        traj, spec, zeta, weight = blocked_run(2, 24, T=0.05, snapshot_dt=0.005,
+                                               gamma=6.0)
+    size = block_size(traj)
+    assert len(traj) > size and len(traj) % size != 0
+    rep = monitors.compute_report(traj, spec, zeta=zeta, weight=weight)
+    series, accum, meta = reference_report(traj, spec, zeta=zeta, weight=weight)
+    assert_same_bits(rep.series, series)
+    assert_same_bits(rep.accum, accum)
+    assert_same_bits(rep.meta, meta)
+    plain = monitors.compute_report(traj, spec)
+    series, accum, meta = reference_report(traj, spec)
+    assert_same_bits(plain.series, series)
+    assert_same_bits(plain.accum, accum)
+    assert_same_bits(plain.meta, meta)
+
+
+def test_range_accumulators_split_inside_a_block(run_1d_blocks):
+    traj, spec, zeta, weight = run_1d_blocks
+    K = len(traj)
+    size = block_size(traj)
+    mid = size + 3
+    assert mid % size != 0 and mid < K - 1
+    fns = {
+        "ab_neg_l3": lambda a, b: ab_negative_l3(traj, spec, a, b),
+        "lap_l1": lambda a, b: laplacian_l1(traj, a, b),
+        "grad_p_l4": lambda a, b: grad_p_l4(traj, a, b),
+        "weighted_ab_neg_l3": lambda a, b: weighted_ab_l3(traj, weight, spec, a, b),
+        "diss_pressure_weighted": lambda a, b: dissipation(traj, spec, a, b)[0],
+        "diss_hessian": lambda a, b: dissipation(traj, spec, a, b)[1],
+        "compl_lhs": lambda a, b: complementarity_residual(traj, zeta, spec, a, b)[0],
+        "compl_rhs": lambda a, b: complementarity_residual(traj, zeta, spec, a, b)[1],
+    }
+    for a, b in ((0, mid), (mid, K), (3, mid)):
+        _, want, _ = reference_report(traj, spec, zeta=zeta, weight=weight, k0=a, k1=b)
+        for name, fn in fns.items():
+            assert_same_bits({name: fn(a, b)}, {name: want[name]})
+    for name, fn in fns.items():
+        total = fn(0, K)
+        assert total == pytest.approx(fn(0, mid) + fn(mid, K), rel=1e-13), name
