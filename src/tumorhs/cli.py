@@ -34,10 +34,6 @@ def _load_config(args) -> config_mod.ExperimentConfig:
     return config_mod.parse_config_text(config_mod.DEFAULT_CONFIG_TEXT)
 
 
-def _echo_text(cfg) -> str:
-    return config_mod.render_config(cfg)
-
-
 def cmd_validate(args) -> int:
     cfg = _load_config(args)
     params = config_mod._model_params(cfg)
@@ -58,23 +54,10 @@ def cmd_validate(args) -> int:
     return ASSERT_FAIL if args.assert_ else 0
 
 
-def _run_once(cfg, out_root, gamma=None):
-    echo = _echo_text(cfg)
-    tag = "" if gamma is None else f"g{gamma:g}"
-    out_dir = runio.run_dir_for(out_root, echo, tag=tag)
-    setup, zeta, weight_on = config_mod.build_setup(cfg, gamma_override=gamma,
-                                                    out_dir=out_dir)
-    traj = solver.run(setup)
-    weight = monitors.build_weight(setup.grid) if weight_on else None
-    report = monitors.compute_report(traj, setup.spec, zeta=zeta, weight=weight)
-    runio.write_run(out_dir, echo, traj, report)
-    return traj, report, setup, out_dir
-
-
 def cmd_run(args) -> int:
     cfg = _load_config(args)
     out_root = args.out or cfg.get("output", "directory")
-    traj, report, setup, out_dir = _run_once(cfg, out_root)
+    traj, report, setup, out_dir = limit.run_once(cfg, out_root=out_root)
     print(f"run complete: {out_dir}")
     print(f"steps={traj.meta['steps']} runtime={traj.meta['runtime_s']:.2f}s "
           f"clipped_mass={traj.clipped_mass:.3e}")
@@ -119,68 +102,41 @@ def run_assertions(traj, report, setup, cfg):
         detail = "all snapshots inside" if ok else f"{len(fails)} snapshots outside"
         out.append(("support barrier", ok, detail))
     gres = report.accum["graph_residual_max"]
-    g_bound = params.gamma ** params.gamma / (params.gamma + 1.0) ** (params.gamma + 1.0) \
-        * params.p_H + 10.0 * setup.grid.h ** 2
+    g_bound = monitors.graph_residual_bound(params.gamma) * params.p_H \
+        + 10.0 * setup.grid.h ** 2
     out.append(("graph residual bound", gres <= g_bound,
                 f"{gres:.5f} <= {g_bound:.5f}"))
     return out
 
 
-def _sweep_worker(job):
-    """Run one gamma of a sweep in its own process; never raises."""
-    cfg_text, out_root, gamma = job
-    try:
-        cfg = config_mod.parse_config_text(cfg_text)
-        traj, report, setup, out_dir = _run_once(cfg, out_root, gamma=gamma)
-        row = dict(report.accum)
-        row["gamma"] = gamma
-        return gamma, row, traj.meta["runtime_s"], str(out_dir), None
-    except Exception as exc:   # noqa: BLE001 - per-run isolation
-        return gamma, None, None, None, repr(exc)
-
-
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     out_root = Path(args.out or cfg.get("output", "directory"))
-    gammas = cfg.get("sweep", "gammas")
-    echo = _echo_text(cfg)
-    jobs = [(cfg.source_text or config_mod.DEFAULT_CONFIG_TEXT, str(out_root), g)
-            for g in gammas]
-    if args.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            outcomes = list(pool.map(_sweep_worker, jobs))
-    else:
-        outcomes = [_sweep_worker(job) for job in jobs]
-    rows, gs, failed = [], [], []
-    for gamma, row, runtime_s, out_dir, err in outcomes:
-        if err is not None:
-            failed.append((gamma, err))
-            print(f"gamma={gamma:g}: FAILED ({err})")
-            continue
-        rows.append(row)
-        gs.append(gamma)
-        print(f"gamma={gamma:g}: done ({runtime_s:.1f}s) -> {out_dir}")
-    # fits need at least 3 successful runs; shorter sweeps still get a
-    # summary, flagged as degenerate
-    fit_graph = fit_rhs = None
-    if len(gs) >= 3:
-        fit_graph = limit.fit_decay(gs, [r["graph_residual_max"] for r in rows])
-        if all("compl_rhs" in r for r in rows):
-            fit_rhs = limit.fit_decay(gs, [abs(r["compl_rhs"]) for r in rows])
-    else:
+    # one line per gamma as it finishes; only the outcomes are kept
+    outcomes = []
+    for outcome in limit.gamma_sweep(cfg, cfg.get("sweep", "gammas"),
+                                     workers=args.workers, out_root=out_root):
+        gamma, _, runtime_s, out_dir, err = outcome
+        if err is None:
+            print(f"gamma={gamma:g}: done ({runtime_s:.1f}s) -> {out_dir}", flush=True)
+        else:
+            print(f"gamma={gamma:g}: FAILED ({err})", flush=True)
+        outcomes.append(outcome)
+    sweep = limit.SweepReport.from_outcomes(outcomes)
+    rows, gs, fit_graph = sweep.rows, sweep.gammas, sweep.fit_graph_residual
+    # shorter sweeps still get a summary, flagged as degenerate
+    if len(gs) < 3:
         print(f"fewer than 3 successful runs ({len(gs)}); no decay fits")
     summary = {
         "version": __version__,
         "gammas": gs,
         "rows": [{k: float(v) for k, v in r.items()} for r in rows],
         "fit_graph_residual": fit_graph,
-        "fit_compl_rhs": fit_rhs,
+        "fit_compl_rhs": sweep.fit_compl_rhs,
         "degenerate": len(gs) < 3,
-        "failed": [[g, err] for g, err in failed],
+        "failed": [[g, err] for g, err in sweep.failed],
     }
-    out_root.mkdir(parents=True, exist_ok=True)
-    sweep_dir = runio.run_dir_for(out_root, echo, tag="sweep")
+    sweep_dir = runio.run_dir_for(out_root, config_mod.render_config(cfg), tag="sweep")
     sweep_dir.mkdir(parents=True, exist_ok=True)
     with open(sweep_dir / "sweep.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
@@ -195,9 +151,9 @@ def cmd_sweep(args) -> int:
         print(f"graph-residual decay exponent: {fit_graph[0]:.3f} "
               f"(stderr {fit_graph[1]:.3f})")
     failures = []
-    if failed:
+    if sweep.failed:
         failures.append(("all sweep runs completed", False,
-                         "; ".join(f"gamma={g:g}: {err}" for g, err in failed)))
+                         "; ".join(f"gamma={g:g}: {err}" for g, err in sweep.failed)))
     if len(gs) >= 3:
         ok = 0.8 <= fit_graph[0] <= 1.2
         failures.append(("graph-residual decay exponent in [0.8, 1.2]", ok,

@@ -56,6 +56,12 @@ def _float_list(s: str) -> tuple:
     return tuple(float(tok) for tok in s.replace(",", " ").split())
 
 
+def _selection(s: str) -> str:
+    if s not in ("all", "direct"):
+        raise ValueError(f"expected 'all' or 'direct', got {s!r}")
+    return s
+
+
 # section -> key -> (caster, default); the schema is closed.
 _SCHEMA = {
     "model": {
@@ -96,7 +102,7 @@ _SCHEMA = {
         "cfl_safety": (float, 0.4),
     },
     "monitors": {
-        "selection": (str, "all"),       # all | direct (skip zeta/weight extras)
+        "selection": (_selection, "all"),  # all | direct (skip zeta/weight extras)
         "zeta_center": (float, 0.0),
         "zeta_radius": (float, 1.5),
         "zeta_t_center": (float, 0.4),
@@ -302,7 +308,8 @@ def _validate(cfg: ExperimentConfig) -> None:
 
 def _model_params(cfg: ExperimentConfig, gamma_override: float | None = None):
     m = cfg.values["model"]
-    return model.ModelParams(gamma=gamma_override if gamma_override else m["gamma"],
+    gamma = m["gamma"] if gamma_override is None else gamma_override
+    return model.ModelParams(gamma=gamma,
                              p_H=m["p_h"], p_B=m["p_b"], c_B=m["c_b"],
                              g0=m["g0"], c1=m["c1"], c2=m["c2"])
 

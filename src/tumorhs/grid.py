@@ -6,8 +6,9 @@ cells: a Dirichlet value v at the face gives ghost = 2v - interior (linear
 extrapolation through the face), Neumann-zero mirrors the interior cell.
 With Dirichlet ghosts the Laplacian matrix is symmetric, so the discrete
 integration-by-parts identities hold to roundoff against the face-based
-gradient energy (dirichlet_energy below); the centered-difference gradient
-is kept separate for the monitors, which only need O(h^2) consistency.
+gradient energy (dirichlet_energy_array below); the centered-difference
+gradient is kept separate for the monitors, which only need O(h^2)
+consistency.  Fields are plain ndarrays of the grid's shape throughout.
 
 Space integrals use the midpoint rule (cell value times h^d), space-time
 accumulations the left-endpoint rule in time, matching the first-order time
@@ -23,20 +24,11 @@ import numpy as np
 
 __all__ = [
     "Grid",
-    "Field",
     "BoundaryCondition",
     "dirichlet",
     "NEUMANN_ZERO",
     "DIRICHLET_ZERO",
     "TestFunction",
-    "laplacian",
-    "gradient",
-    "grad_norm_sq",
-    "dirichlet_energy",
-    "second_diff",
-    "integral",
-    "lp_norm",
-    "lp_spacetime",
 ]
 
 
@@ -113,35 +105,8 @@ class Grid:
         return np.zeros(self.shape)
 
 
-@dataclass
-class Field:
-    """One scalar value per cell of a grid."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.shape:
-            raise ValueError(
-                f"field shape {self.values.shape} does not match grid {self.grid.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field contains non-finite values")
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
-    def to_csv(self, path) -> None:
-        """One row per cell: coordinates then value."""
-        g = self.grid
-        cols = [np.ravel(c) for c in g.coords] + [np.ravel(self.values)]
-        header = ",".join([f"x{i}" for i in range(g.dim)] + ["value"])
-        np.savetxt(path, np.column_stack(cols), delimiter=",", header=header,
-                   comments="", fmt="%.17g")
-
-
 # ---------------------------------------------------------------------------
-# ghost-cell extension and stencils (ndarray level; Field wrappers below)
+# ghost-cell extension and stencils
 # ---------------------------------------------------------------------------
 
 def _extend(v: np.ndarray, bc: BoundaryCondition, dim: int) -> np.ndarray:
@@ -208,32 +173,13 @@ def second_diff_array(v: np.ndarray, i: int, j: int, h: float,
     return gradient_array(gi, h, bc, dim)[j]
 
 
-def laplacian(f: Field, bc: BoundaryCondition) -> Field:
-    """3-point (1D) / 5-point (2D) second-order Laplacian with ghost-cell bc."""
-    return Field(f.grid, laplacian_array(f.values, f.grid.h, bc))
-
-
-def gradient(f: Field, bc: BoundaryCondition) -> tuple:
-    """Centered-difference gradient, one Field per axis."""
-    return tuple(Field(f.grid, g) for g in gradient_array(f.values, f.grid.h, bc))
-
-
-def grad_norm_sq(f: Field, bc: BoundaryCondition) -> Field:
-    comps = gradient_array(f.values, f.grid.h, bc)
-    return Field(f.grid, sum(g * g for g in comps))
-
-
-def second_diff(f: Field, i: int, j: int, bc: BoundaryCondition) -> Field:
-    return Field(f.grid, second_diff_array(f.values, i, j, f.grid.h, bc))
-
-
 def dirichlet_energy_array(v: np.ndarray, h: float) -> float:
     """Face-based form of int |grad f|^2 for Dirichlet-zero f.
 
     Interior faces contribute (df/h)^2 * h^d; boundary faces see the value 0
     at distance h/2, contributing (2 f/h)^2 * h^d / 2.  This is the unique
-    form for which integral(f * laplacian(f)) = -dirichlet_energy(f) holds to
-    roundoff with the ghost-cell Laplacian above.
+    form for which integral_array(f * laplacian_array(f)) equals
+    -dirichlet_energy_array(f) to roundoff with the ghost-cell Laplacian above.
     """
     hd = h ** v.ndim
     total = 0.0
@@ -246,47 +192,13 @@ def dirichlet_energy_array(v: np.ndarray, h: float) -> float:
     return total
 
 
-def dirichlet_energy(f: Field) -> float:
-    return dirichlet_energy_array(f.values, f.grid.h)
-
-
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
 
-def integral(f) -> float:
-    """Midpoint rule: sum of cell values times h^d."""
-    if isinstance(f, Field):
-        return float(np.sum(f.values)) * f.grid.cell_volume
-    raise TypeError("integral expects a Field; use integral_array for raw values")
-
-
 def integral_array(v: np.ndarray, h: float) -> float:
+    """Midpoint rule: sum of cell values times h^d."""
     return float(np.sum(v)) * h ** v.ndim
-
-
-def lp_norm(f: Field, q: float) -> float:
-    """(int |f|^q)^(1/q) with the midpoint rule."""
-    if q < 1:
-        raise ValueError("exponent q >= 1 required")
-    return float(np.sum(np.abs(f.values) ** q) * f.grid.cell_volume) ** (1.0 / q)
-
-
-def lp_spacetime(fields, q: float, dts) -> float:
-    """(sum_k sum_cells |f_k|^q h^d dt_k)^(1/q), left-endpoint rule in time.
-
-    fields is a sequence of Fields (or ndarrays sharing a grid passed as
-    Fields); dts holds the interval dt_k attached to snapshot k.
-    """
-    if q < 1:
-        raise ValueError("exponent q >= 1 required")
-    dts = np.asarray(dts, dtype=float)
-    if len(dts) != len(fields):
-        raise ValueError("one dt per field required")
-    total = 0.0
-    for f, dt in zip(fields, dts):
-        total += float(np.sum(np.abs(f.values) ** q)) * f.grid.cell_volume * dt
-    return total ** (1.0 / q)
 
 
 # ---------------------------------------------------------------------------

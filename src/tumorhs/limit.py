@@ -1,6 +1,6 @@
-"""Stiff-limit orchestration: gamma sweeps with residual-decay fits, the
-elliptic reference solution on the positivity set, and Cauchy-in-gamma
-trajectory comparisons.
+"""Stiff-limit orchestration: the one path from a parsed config to a finished
+run, gamma sweeps with residual-decay fits, the elliptic reference solution
+on the positivity set, and Cauchy-in-gamma trajectory comparisons.
 
 The reference pressure solves -Lap(p) = G(p, c) with p = 0 on the boundary of
 O = {p_num > eps_O}, by the shifted fixed point
@@ -16,15 +16,14 @@ updates) aborts with a pointer to the monotonicity assumption.
 from __future__ import annotations
 
 import math
-import time as _time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix, identity as sparse_identity
 from scipy.sparse.linalg import splu
 
-from . import model, monitors, solver
+from . import config, model, monitors, runio, solver
 from .grid import DIRICHLET_ZERO, Grid, gradient_array
 
 __all__ = [
@@ -32,6 +31,7 @@ __all__ = [
     "SweepReport",
     "HeleShawResult",
     "heleshaw_reference",
+    "run_once",
     "gamma_sweep",
     "limit_compare",
     "fit_decay",
@@ -163,20 +163,91 @@ def heleshaw_reference(p_num: np.ndarray, c_num: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# gamma sweep
+# one run and the gamma sweep
 # ---------------------------------------------------------------------------
+
+def run_once(cfg, gamma: float | None = None, out_root=None) -> tuple:
+    """Run a parsed config (at gamma, when given) and compute its monitors.
+
+    With out_root the run directory out_root/<config hash>[-g<gamma>] is
+    written, and a failing run leaves its partial dump there.  Returns
+    (trajectory, monitor report, setup, run directory or None).
+    """
+    out_dir = echo = None
+    if out_root is not None:
+        echo = config.render_config(cfg)
+        tag = "" if gamma is None else f"g{gamma:g}"
+        out_dir = runio.run_dir_for(out_root, echo, tag=tag)
+    setup, zeta, weight_on = config.build_setup(cfg, gamma_override=gamma, out_dir=out_dir)
+    traj = solver.run(setup)
+    weight = monitors.build_weight(setup.grid) if weight_on else None
+    report = monitors.compute_report(traj, setup.spec, zeta=zeta, weight=weight)
+    if out_dir is not None:
+        runio.write_run(out_dir, echo, traj, report)
+    return traj, report, setup, out_dir
+
+
+def _sweep_worker(job) -> tuple:
+    """One gamma of a sweep; never raises, so a failing gamma is isolated the
+    same way with one worker or with many.  Returns the outcome
+    (gamma, row, runtime_s, out_dir, error): row holds the accumulated
+    monitors and gamma, error is None on success and the repr of the
+    exception (with row, runtime_s and out_dir None) on failure."""
+    cfg, gamma, out_root = job
+    try:
+        traj, report, _, out_dir = run_once(cfg, gamma, out_root)
+    except Exception as exc:   # noqa: BLE001 - per-run isolation
+        return gamma, None, None, None, repr(exc)
+    row = dict(report.accum)
+    row["gamma"] = gamma
+    return gamma, row, traj.meta["runtime_s"], out_dir, None
+
+
+def gamma_sweep(cfg, gammas, workers: int = 1, out_root=None):
+    """Run the parsed config once per gamma; yield each outcome of
+    _sweep_worker in gamma order as soon as it is done.
+
+    Per-gamma runs are independent and deterministic, so the pool size cannot
+    change any outcome apart from its runtime.  Only the outcomes are kept,
+    never a trajectory.
+    """
+    gammas = [float(g) for g in gammas]
+    if gammas != sorted(set(gammas)):
+        raise ValueError("gamma list must be strictly increasing")
+    jobs = [(cfg, g, out_root) for g in gammas]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(_sweep_worker, jobs)
+    else:
+        yield from map(_sweep_worker, jobs)
+
 
 @dataclass
 class SweepReport:
-    gammas: list
+    gammas: list                   # the gammas that completed, increasing
     rows: list                     # per-gamma accumulated monitor dicts
-    failed: list
+    failed: list                   # (gamma, error) of the gammas that failed
     fit_graph_residual: tuple | None   # (exponent, stderr)
     fit_compl_rhs: tuple | None
-    meta: dict = field(default_factory=dict)
 
-    def column(self, name: str) -> np.ndarray:
-        return np.array([row[name] for row in self.rows])
+    @classmethod
+    def from_outcomes(cls, outcomes) -> "SweepReport":
+        """Collect gamma_sweep outcomes; the decay fits need at least three
+        completed gammas and are None otherwise."""
+        rows, failed = [], []
+        for gamma, row, _, _, err in outcomes:
+            if err is None:
+                rows.append(row)
+            else:
+                failed.append((gamma, err))
+        gammas = [r["gamma"] for r in rows]
+        fit_graph = fit_compl = None
+        if len(gammas) >= 3:
+            fit_graph = fit_decay(gammas, [r["graph_residual_max"] for r in rows])
+            if all("compl_rhs" in r for r in rows):
+                fit_compl = fit_decay(gammas, [abs(r["compl_rhs"]) for r in rows])
+        return cls(gammas=gammas, rows=rows, failed=failed,
+                   fit_graph_residual=fit_graph, fit_compl_rhs=fit_compl)
 
 
 def fit_decay(gammas, values) -> tuple:
@@ -191,70 +262,6 @@ def fit_decay(gammas, values) -> tuple:
     s2 = float(res[0]) / dof if len(res) and dof > 0 else 0.0
     cov = s2 * np.linalg.inv(A.T @ A)
     return -float(coef[0]), float(np.sqrt(cov[0, 0]))
-
-
-def _sweep_worker(args):
-    """Run one gamma of a sweep; returns (gamma, result, error) and never raises,
-    so a failing gamma is isolated the same way with one worker or with many."""
-    from . import config as config_mod
-    cfg_text, gamma, keep = args
-    try:
-        cfg = config_mod.parse_config_text(cfg_text)
-        setup, zeta, weight_on = config_mod.build_setup(cfg, gamma_override=gamma)
-        t0 = _time.perf_counter()
-        traj = solver.run(setup)
-        weight = monitors.build_weight(setup.grid) if weight_on else None
-        report = monitors.compute_report(traj, setup.spec, zeta=zeta, weight=weight)
-        runtime = _time.perf_counter() - t0
-    except Exception as exc:   # noqa: BLE001 - per-run isolation
-        return gamma, None, repr(exc)
-    return gamma, (report.accum, report.meta, runtime, traj if keep else None), None
-
-
-def gamma_sweep(cfg_text: str, gammas, workers: int = 1,
-                keep_trajectories: bool = False):
-    """Run the configured experiment once per gamma and fit the decays.
-
-    Per-gamma runs are independent and deterministic, so the pool size cannot
-    change any output; a gamma that fails is listed in `failed` either way.
-    Returns (SweepReport, {gamma: Trajectory} or {}).
-    """
-    gammas = sorted(float(g) for g in gammas)
-    if len(gammas) != len(set(gammas)):
-        raise ValueError("gamma list must be strictly increasing")
-    jobs = [(cfg_text, g, keep_trajectories) for g in gammas]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sweep_worker, jobs))
-    else:
-        outcomes = [_sweep_worker(job) for job in jobs]
-    results = {}
-    failed = []
-    for gamma, out, err in outcomes:
-        if err is None:
-            results[gamma] = out
-        else:
-            failed.append((gamma, err))
-    rows = []
-    trajectories = {}
-    ok_gammas = [g for g in gammas if g in results]
-    for g in ok_gammas:
-        accum, meta, runtime, payload = results[g]
-        row = dict(accum)
-        row["gamma"] = g
-        row["runtime_s"] = runtime
-        rows.append(row)
-        if payload is not None:
-            trajectories[g] = payload
-    fit_graph = fit_compl = None
-    if len(ok_gammas) >= 3:
-        fit_graph = fit_decay(ok_gammas, [r["graph_residual_max"] for r in rows])
-        rhs_abs = [abs(r["compl_rhs"]) for r in rows if "compl_rhs" in r]
-        if len(rhs_abs) == len(ok_gammas):
-            fit_compl = fit_decay(ok_gammas, rhs_abs)
-    report = SweepReport(gammas=ok_gammas, rows=rows, failed=failed,
-                         fit_graph_residual=fit_graph, fit_compl_rhs=fit_compl)
-    return report, trajectories
 
 
 # ---------------------------------------------------------------------------

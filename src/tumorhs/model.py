@@ -34,9 +34,6 @@ __all__ = [
     "validate",
     "pressure_from_density",
     "density_from_pressure",
-    "eval_G",
-    "eval_H",
-    "eval_K",
     "eval_Gbar",
 ]
 
@@ -127,74 +124,46 @@ def default_reactions(params: ModelParams, c_star: float = 0.4) -> ReactionSpec:
                         Gbar=Gbar, params=params)
 
 
-def _values(x):
-    """Accept floats, arrays, or grid Fields (anything with .values)."""
-    if hasattr(x, "values") and not isinstance(x, np.ndarray):
-        return np.asarray(x.values, dtype=float)
-    return np.asarray(x, dtype=float)
-
-
-def _wrap_like(template, values):
-    if hasattr(template, "values") and not isinstance(template, np.ndarray):
-        return type(template)(template.grid, values)
-    if np.isscalar(template) or np.ndim(template) == 0:
-        return float(values)
-    return values
-
-
-def pressure_from_density(n, gamma: float):
+def pressure_from_density(n, gamma: float) -> np.ndarray:
     """p = n**gamma elementwise; n must be nonnegative.
 
     Evaluated as exp(gamma*log n) with an explicit zero branch at n = 0.
     """
-    vals = _values(n)
-    if np.any(vals < 0.0):
-        idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(vals)), vals.shape))
-        raise DomainError(f"negative density {vals[idx]:.3e} at cell {idx}")
-    pos = vals > 0.0
-    out = np.zeros_like(vals)
-    out[pos] = np.exp(gamma * np.log(vals[pos]))
-    return _wrap_like(n, out)
+    n = np.asarray(n, dtype=float)
+    if np.any(n < 0.0):
+        idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(n)), n.shape))
+        raise DomainError(f"negative density {n[idx]:.3e} at cell {idx}")
+    pos = n > 0.0
+    out = np.zeros_like(n)
+    out[pos] = np.exp(gamma * np.log(n[pos]))
+    return out
 
 
-def density_from_pressure(p, gamma: float):
+def density_from_pressure(p, gamma: float) -> np.ndarray:
     """n = p**(1/gamma) elementwise; inverse of pressure_from_density."""
-    vals = _values(p)
-    if np.any(vals < 0.0):
-        idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(vals)), vals.shape))
-        raise DomainError(f"negative pressure {vals[idx]:.3e} at cell {idx}")
-    pos = vals > 0.0
-    out = np.zeros_like(vals)
-    out[pos] = np.exp(np.log(vals[pos]) / gamma)
-    return _wrap_like(p, out)
+    p = np.asarray(p, dtype=float)
+    if np.any(p < 0.0):
+        idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(p)), p.shape))
+        raise DomainError(f"negative pressure {p[idx]:.3e} at cell {idx}")
+    pos = p > 0.0
+    out = np.zeros_like(p)
+    out[pos] = np.exp(np.log(p[pos]) / gamma)
+    return out
 
 
-def eval_G(p, c, spec: ReactionSpec):
-    return _wrap_like(p, spec.G(_values(p), _values(c)))
-
-
-def eval_H(c, spec: ReactionSpec):
-    return _wrap_like(c, spec.H(_values(c)))
-
-
-def eval_K(p, spec: ReactionSpec):
-    return _wrap_like(p, spec.K(_values(p)))
-
-
-def eval_Gbar(p, c, spec: ReactionSpec, quad_nodes: int = 33):
+def eval_Gbar(p, c, spec: ReactionSpec, quad_nodes: int = 33) -> np.ndarray:
     """Antiderivative int_0^p G(q, c) dq; closed form when the family provides it."""
-    pv, cv = _values(p), _values(c)
+    p, c = np.asarray(p, dtype=float), np.asarray(c, dtype=float)
     if spec.Gbar is not None:
-        return _wrap_like(p, spec.Gbar(pv, cv))
+        return spec.Gbar(p, c)
     # composite Simpson in q, vectorized over cells (quad_nodes must be odd)
     m = quad_nodes if quad_nodes % 2 == 1 else quad_nodes + 1
     s = np.linspace(0.0, 1.0, m)
-    q = pv[..., None] * s  # shape (*cells, m)
-    gq = spec.G(q, np.broadcast_to(cv[..., None], q.shape))
+    q = p[..., None] * s  # shape (*cells, m)
+    gq = spec.G(q, np.broadcast_to(c[..., None], q.shape))
     w = np.ones(m)
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    out = (pv / (3.0 * (m - 1))) * np.sum(w * gq, axis=-1)
-    return _wrap_like(p, out)
+    return (p / (3.0 * (m - 1))) * np.sum(w * gq, axis=-1)
 
 
 @dataclass

@@ -54,6 +54,7 @@ __all__ = [
     "dissipation",
     "complementarity_residual",
     "graph_residual",
+    "graph_residual_bound",
     "energy",
     "direct_estimates",
     "compute_report",
@@ -132,6 +133,12 @@ def graph_residual(state: State) -> float:
     """max over cells of p * (1 - n); vanishes in the stiff limit where the
     density saturates wherever pressure is positive."""
     return float(np.max(state.p * (1.0 - state.n)))
+
+
+def graph_residual_bound(gamma: float) -> float:
+    """max of n^gamma (1 - n) over 0 <= n <= 1, gamma^gamma / (gamma+1)^(gamma+1),
+    in a form whose powers cannot overflow a float at large gamma."""
+    return (gamma / (gamma + 1.0)) ** gamma / (gamma + 1.0)
 
 
 def energy(state: State, spec: model.ReactionSpec) -> float:

@@ -208,7 +208,10 @@ def _warmup_pressure(g: Grid, prep_params: model.ModelParams, c_star, custom_spe
 
 
 def initial_from_csv(g: Grid, params: model.ModelParams, path) -> tuple:
-    """Density from a field CSV written by Field.to_csv (row per cell)."""
+    """Density from a CSV file with one header line, then one row per cell in
+    C order of the grid: the cell-centre coordinates, then the density in the
+    last column.  In 1D, np.savetxt(path, np.column_stack([x, n0]),
+    delimiter=",", header="x0,value", comments="") writes such a file."""
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     n0 = data[:, -1].reshape(g.shape)
     if np.any(n0 < 0.0) or np.any(n0 > params.n_H + 1e-12):

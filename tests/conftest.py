@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 
 from tumorhs import config as config_mod
-from tumorhs import monitors, solver
+from tumorhs import limit, solver
 
 settings.register_profile("ci", deadline=None, derandomize=True, max_examples=25)
 settings.load_profile("ci")
@@ -27,15 +27,7 @@ def standard_cfg():
 @pytest.fixture(scope="session")
 def standard_sweep(standard_cfg):
     """gamma -> (trajectory, monitor report, setup) for the standard experiment."""
-    results = {}
-    for gamma in SWEEP_GAMMAS:
-        setup, zeta, weight_on = config_mod.build_setup(standard_cfg,
-                                                        gamma_override=gamma)
-        traj = solver.run(setup)
-        weight = monitors.build_weight(setup.grid) if weight_on else None
-        report = monitors.compute_report(traj, setup.spec, zeta=zeta, weight=weight)
-        results[gamma] = (traj, report, setup)
-    return results
+    return {gamma: limit.run_once(standard_cfg, gamma)[:3] for gamma in SWEEP_GAMMAS}
 
 
 @pytest.fixture(scope="session")

@@ -108,7 +108,7 @@ def test_criterion_5_graph_relation(standard_sweep):
     details = []
     for gamma in GAMMAS:
         traj, rep, setup = standard_sweep[gamma]
-        bound = gamma ** gamma / (gamma + 1.0) ** (gamma + 1.0) * setup.params.p_H \
+        bound = monitors.graph_residual_bound(gamma) * setup.params.p_H \
             + 10.0 * setup.grid.h ** 2
         res = rep.accum["graph_residual_max"]
         ok &= res <= bound

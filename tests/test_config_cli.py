@@ -1,6 +1,7 @@
 """Config parsing/validation, output layout, and the command-line surface."""
 
 import json
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 
 from tumorhs import config as config_mod
-from tumorhs import analytic, cli, runio, solver
+from tumorhs import analytic, cli, limit, runio, solver
 from tumorhs.config import ConfigError, parse_config_text
+
+STANDARD_CFG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "standard1d.cfg"
 
 MINIMAL = """
 [model]
@@ -126,6 +129,19 @@ def test_env_override():
         parse_config_text(MINIMAL, env={"TUMORHS_MODEL__NOPE": "1"})
 
 
+def test_monitor_selection_is_closed():
+    for ok in ("all", "direct"):
+        parse_config_text(MINIMAL + f"selection = {ok}\n", env={})
+    bad = MINIMAL + "selection = basic\n"       # appended to [monitors]
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(bad, env={})
+    line = len(bad.splitlines())
+    assert any(ln == line and "selection" in msg and "basic" in msg
+               for ln, msg in err.value.errors)
+    with pytest.raises(ConfigError, match="expected 'all' or 'direct', got 'basic'"):
+        parse_config_text(MINIMAL, env={"TUMORHS_MONITORS__SELECTION": "basic"})
+
+
 def test_zeta_window_must_fit():
     late = MINIMAL.replace("zeta_t_center = 0.03", "zeta_t_center = 0.08")
     with pytest.raises(ConfigError, match="zeta"):
@@ -232,6 +248,57 @@ def test_sweep_emits_directory_per_gamma(tmp_path):
     sweep_dir = next(p for p in dirs if p.name.endswith("-sweep"))
     assert (sweep_dir / "sweep.csv").exists()
     assert (sweep_dir / "sweep.json").exists()
+
+
+def _tree_bytes(root):
+    """relative path -> bytes of every file under root except timing.json"""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file() and p.name != "timing.json"}
+
+
+def test_sweep_outputs_and_progress_independent_of_worker_count(tmp_path, capsys):
+    cfg_path = tmp_path / "mini.cfg"
+    cfg_path.write_text(MINIMAL + "\n[sweep]\ngammas = 8, 16, 32\n", encoding="utf-8")
+    trees = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                         "--workers", str(workers)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        summary = next(i for i, ln in enumerate(lines) if ln.startswith("sweep summary:"))
+        progress = [ln.split(":")[0] for ln in lines[:summary] if ln.startswith("gamma=")]
+        assert progress == ["gamma=8", "gamma=16", "gamma=32"]
+        assert not any(ln.startswith("gamma=") for ln in lines[summary:])
+        trees.append(_tree_bytes(out))
+    assert len(trees[0]) == 3 * 6 + 2           # six files per gamma, sweep.json/csv
+    assert trees[0] == trees[1]
+
+
+def test_sweep_prints_each_gamma_as_it_finishes(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "mini.cfg"
+    cfg_path.write_text(MINIMAL + "\n[sweep]\ngammas = 8, 16\n", encoding="utf-8")
+    printed_before_run = []
+    run_once = limit.run_once
+
+    def recording_run_once(*args, **kwargs):
+        printed_before_run.append(capsys.readouterr().out)
+        return run_once(*args, **kwargs)
+
+    monkeypatch.setattr(limit, "run_once", recording_run_once)
+    out = tmp_path / "sw"
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert printed_before_run[0] == ""
+    assert printed_before_run[1].startswith("gamma=8: done")
+
+
+def test_graph_residual_gate_at_large_gamma(tmp_path, monkeypatch, capsys):
+    # gamma^gamma overflows a float at gamma = 160; the gate must still report
+    for key, value in (("MODEL__GAMMA", "160"), ("TIME__HORIZON", "1e-3"),
+                       ("TIME__SNAPSHOT_DT", "1e-4"), ("MONITORS__SELECTION", "direct")):
+        monkeypatch.setenv(f"TUMORHS_{key}", value)
+    assert cli.main(["run", "--config", str(STANDARD_CFG), "--out", str(tmp_path),
+                     "--assert"]) == 0
+    assert "PASS graph residual bound:" in capsys.readouterr().out
 
 
 def test_focusing_emits_alpha_table(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tumorhs import grid
-from tumorhs.grid import DIRICHLET_ZERO, NEUMANN_ZERO, Field, Grid, TestFunction, dirichlet
+from tumorhs.grid import DIRICHLET_ZERO, NEUMANN_ZERO, Grid, TestFunction, dirichlet
 
 
 @pytest.fixture
@@ -37,29 +37,27 @@ def test_grid_invariants():
 # ---------------------------------------------------------------------------
 
 def test_laplacian_of_constant_is_zero(g1):
-    f = Field(g1, np.full(g1.shape, 3.7))
-    lap = grid.laplacian(f, NEUMANN_ZERO)
-    assert np.allclose(lap.values, 0.0, atol=1e-12)
+    lap = grid.laplacian_array(np.full(g1.shape, 3.7), g1.h, NEUMANN_ZERO)
+    assert np.allclose(lap, 0.0, atol=1e-12)
 
 
 def test_laplacian_exact_on_quadratics_interior(g1):
     x = g1.coords[0]
-    lap = grid.laplacian(Field(g1, x ** 2), DIRICHLET_ZERO)
-    assert np.allclose(lap.values[2:-2], 2.0, atol=1e-9)
+    lap = grid.laplacian_array(x ** 2, g1.h, DIRICHLET_ZERO)
+    assert np.allclose(lap[2:-2], 2.0, atol=1e-9)
 
 
 def test_laplacian_sine_error_within_taylor_bound(g1):
     x = g1.coords[0]
-    f = Field(g1, np.sin(np.pi * x))
-    lap = grid.laplacian(f, DIRICHLET_ZERO)
-    err = np.max(np.abs(lap.values[5:-5] + np.pi ** 2 * np.sin(np.pi * x[5:-5])))
+    lap = grid.laplacian_array(np.sin(np.pi * x), g1.h, DIRICHLET_ZERO)
+    err = np.max(np.abs(lap[5:-5] + np.pi ** 2 * np.sin(np.pi * x[5:-5])))
     assert err <= np.pi ** 4 * g1.h ** 2 / 12.0 + 1e-10
 
 
 def test_laplacian_2d_five_point(g2):
     x, y = g2.coords
-    lap = grid.laplacian(Field(g2, x ** 2 + y ** 2), DIRICHLET_ZERO)
-    assert np.allclose(lap.values[2:-2, 2:-2], 4.0, atol=1e-9)
+    lap = grid.laplacian_array(x ** 2 + y ** 2, g2.h, DIRICHLET_ZERO)
+    assert np.allclose(lap[2:-2, 2:-2], 4.0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -68,24 +66,25 @@ def test_laplacian_2d_five_point(g2):
 
 def test_gradient_constant_zero_and_affine_exact(g1):
     x = g1.coords[0]
-    gz = grid.gradient(Field(g1, np.full(g1.shape, 2.0)), NEUMANN_ZERO)
-    assert np.allclose(gz[0].values, 0.0, atol=1e-14)
-    ga = grid.gradient(Field(g1, x), NEUMANN_ZERO)
-    assert np.allclose(ga[0].values[1:-1], 1.0, atol=1e-12)
+    gz = grid.gradient_array(np.full(g1.shape, 2.0), g1.h, NEUMANN_ZERO)
+    assert np.allclose(gz[0], 0.0, atol=1e-14)
+    ga = grid.gradient_array(x, g1.h, NEUMANN_ZERO)
+    assert np.allclose(ga[0][1:-1], 1.0, atol=1e-12)
 
 
 def test_centered_difference_exact_on_quadratic_at_half(g1):
     # centered difference of x^2 equals 2x exactly, any h
     x = g1.coords[0]
-    gq = grid.gradient(Field(g1, x ** 2), NEUMANN_ZERO)
+    gq = grid.gradient_array(x ** 2, g1.h, NEUMANN_ZERO)
     k = int(np.argmin(np.abs(x - 0.5)))
-    assert gq[0].values[k] == pytest.approx(2.0 * x[k], rel=1e-12)
+    assert gq[0][k] == pytest.approx(2.0 * x[k], rel=1e-12)
 
 
 def test_grad_norm_sq_sums_components(g2):
     x, y = g2.coords
-    gsq = grid.grad_norm_sq(Field(g2, 2.0 * x + 3.0 * y), NEUMANN_ZERO)
-    assert np.allclose(gsq.values[1:-1, 1:-1], 13.0, atol=1e-10)
+    grads = grid.gradient_array(2.0 * x + 3.0 * y, g2.h, NEUMANN_ZERO)
+    gsq = sum(gc * gc for gc in grads)
+    assert np.allclose(gsq[1:-1, 1:-1], 13.0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +106,9 @@ def test_laplacian_symmetry_to_roundoff(dim, n):
 def test_energy_identity_exact(dim, n):
     g = Grid.symmetric(dim, 1.0, n)
     rng = np.random.default_rng(11)
-    f = Field(g, rng.standard_normal(g.shape))
-    quad = grid.integral(Field(g, f.values * grid.laplacian(f, DIRICHLET_ZERO).values))
-    assert quad == pytest.approx(-grid.dirichlet_energy(f), rel=1e-12)
+    f = rng.standard_normal(g.shape)
+    quad = grid.integral_array(f * grid.laplacian_array(f, g.h, DIRICHLET_ZERO), g.h)
+    assert quad == pytest.approx(-grid.dirichlet_energy_array(f, g.h), rel=1e-12)
 
 
 @given(st.floats(min_value=-2.0, max_value=2.0), st.floats(min_value=-2.0, max_value=2.0))
@@ -139,25 +138,13 @@ def test_refinement_order_at_least_1_9():
 
 def test_integral_constant_unit_box():
     g = Grid(dim=2, lo=0.0, hi=1.0, n=16)
-    assert grid.integral(Field(g, np.ones(g.shape))) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_lp_spacetime_constant_two():
-    g = Grid(dim=1, lo=0.0, hi=1.0, n=16)
-    fields = [Field(g, np.full(g.shape, 2.0))] * 4
-    val = grid.lp_spacetime(fields, 4.0, [0.25] * 4)
-    assert val == pytest.approx(2.0, rel=1e-14)
+    assert grid.integral_array(np.ones(g.shape), g.h) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_midpoint_rule_linear_function():
     g = Grid(dim=1, lo=0.0, hi=1.0, n=64)
-    val = grid.integral(Field(g, g.coords[0]))
+    val = grid.integral_array(g.coords[0], g.h)
     assert val == pytest.approx(0.5, abs=g.h ** 2)
-
-
-def test_lp_norm_rejects_bad_exponent(g1):
-    with pytest.raises(ValueError):
-        grid.lp_norm(Field(g1, np.ones(g1.shape)), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +192,3 @@ def test_bump_gradient_matches_finite_difference():
     gx, _ = zeta.grad(g, 0.5)
     assert np.max(np.abs(gx - fd_x)) <= 1e-6 * max(np.max(np.abs(gx)), 1.0)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_field_csv_roundtrip(tmp_path, g1):
-    f = Field(g1, np.sin(g1.coords[0]))
-    path = tmp_path / "field.csv"
-    f.to_csv(path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (g1.n, 2)
-    assert np.allclose(data[:, 0], g1.coords[0])
-    assert np.allclose(data[:, 1], f.values)

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from tumorhs import limit, model, solver
+from tumorhs import config, limit, model, solver
 from tumorhs.grid import Grid
-from tumorhs.limit import (PositivitySet, fit_decay, gamma_sweep,
+from tumorhs.limit import (PositivitySet, SweepReport, fit_decay, gamma_sweep,
                            heleshaw_reference, limit_compare)
 
 
@@ -195,39 +195,32 @@ gammas = 8, 16, 32
 """
 
 
+def sweep(gammas, workers=1):
+    cfg = config.parse_config_text(TINY_SWEEP_CFG)
+    return SweepReport.from_outcomes(gamma_sweep(cfg, gammas, workers=workers))
+
+
 def test_degenerate_sweep_single_gamma_has_no_fits():
-    report, _ = gamma_sweep(TINY_SWEEP_CFG, [12.0])
+    report = sweep([12.0])
     assert report.fit_graph_residual is None
     assert len(report.rows) == 1
 
 
 def test_sweep_results_independent_of_worker_count():
-    rep1, _ = gamma_sweep(TINY_SWEEP_CFG, [8.0, 16.0, 32.0], workers=1)
-    rep2, _ = gamma_sweep(TINY_SWEEP_CFG, [8.0, 16.0, 32.0], workers=2)
+    rep1 = sweep([8.0, 16.0, 32.0], workers=1)
+    rep2 = sweep([8.0, 16.0, 32.0], workers=2)
     assert rep1.gammas == rep2.gammas
-    for r1, r2 in zip(rep1.rows, rep2.rows):
-        for key in r1:
-            if key == "runtime_s":
-                continue
-            assert r1[key] == r2[key], key
+    assert rep1.rows == rep2.rows
+    assert "runtime_s" not in rep1.rows[0]
     assert rep1.fit_graph_residual == rep2.fit_graph_residual
 
 
 def test_failing_gamma_isolated_with_any_worker_count():
-    # gamma = 1 is outside the model (gamma > 1 required) and must not take
-    # the other gammas down, with or without a pool
-    reports = [gamma_sweep(TINY_SWEEP_CFG, [1.0, 8.0, 16.0], workers=w)[0]
-               for w in (1, 2)]
+    # gamma = 0 and 1 are outside the model (gamma > 1 required) and must not
+    # take the other gammas down, with or without a pool
+    reports = [sweep([0.0, 1.0, 8.0, 16.0], workers=w) for w in (1, 2)]
     for rep in reports:
         assert rep.gammas == [8.0, 16.0]
-        assert [g for g, _ in rep.failed] == [1.0]
+        assert [g for g, _ in rep.failed] == [0.0, 1.0]
     assert reports[0].failed == reports[1].failed
-    for r1, r2 in zip(reports[0].rows, reports[1].rows):
-        assert {k: v for k, v in r1.items() if k != "runtime_s"} == \
-            {k: v for k, v in r2.items() if k != "runtime_s"}
-
-
-def test_sweep_keeps_trajectories_when_asked():
-    report, trajs = gamma_sweep(TINY_SWEEP_CFG, [8.0, 16.0], keep_trajectories=True)
-    assert set(trajs) == {8.0, 16.0}
-    assert trajs[8.0].params.gamma == 8.0
+    assert reports[0].rows == reports[1].rows

@@ -29,8 +29,8 @@ def test_default_family_passes_with_beta_point_one(params, spec):
 
 
 def test_K_vanishes_at_vessel_pressure(spec):
-    assert model.eval_K(2.0, spec) == 0.0
-    assert model.eval_K(3.5, spec) == 0.0
+    assert spec.K(2.0) == 0.0
+    assert spec.K(3.5) == 0.0
 
 
 def test_necrosis_fails_without_death_rate():
@@ -105,15 +105,15 @@ def test_pressure_monotone_in_density(a, b, gamma):
 
 def test_reaction_values(spec):
     # G(0, c_B) = g0*p_H*(c_B + c1) - c2 = 1.1 - 0.5
-    assert model.eval_G(0.0, 1.0, spec) == pytest.approx(0.6, rel=1e-14)
-    assert model.eval_K(1.0, spec) == pytest.approx(0.5, rel=1e-15)
-    assert model.eval_H(0.0, spec) == 0.0
+    assert spec.G(0.0, 1.0) == pytest.approx(0.6, rel=1e-14)
+    assert spec.K(1.0) == pytest.approx(0.5, rel=1e-15)
+    assert spec.H(0.0) == 0.0
 
 
 def test_reactions_elementwise(spec):
     p = np.linspace(0.0, 1.0, 7)
     c = np.linspace(0.0, 1.0, 7)
-    G = model.eval_G(p, c, spec)
+    G = spec.G(p, c)
     assert G.shape == p.shape
     assert G[0] == pytest.approx(float(spec.G(0.0, 0.0)), rel=1e-14)
 

@@ -1,6 +1,7 @@
 """Estimate monitors on synthetic trajectories with closed-form oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -225,6 +226,25 @@ def test_energy_zero_pressure_is_zero(g1, params, spec):
     state = State(g1, 0.0, np.zeros(g1.shape), np.zeros(g1.shape),
                   np.full(g1.shape, params.c_B))
     assert energy(state, spec) == 0.0
+
+
+def test_graph_residual_bound_finite_at_large_gamma():
+    # gamma^gamma overflows a float above gamma ~ 143; the bound must not
+    for gamma in (160.0, 320.0):
+        bound = monitors.graph_residual_bound(gamma)
+        assert math.isfinite(bound) and bound > 0.0
+        assert bound == pytest.approx(math.exp(-gamma * math.log1p(1.0 / gamma))
+                                      / (gamma + 1.0), rel=1e-12)
+
+
+def test_graph_residual_bound_matches_closed_form():
+    for gamma in range(10, 81):
+        exact = Fraction(gamma) ** gamma / Fraction(gamma + 1) ** (gamma + 1)
+        bound = monitors.graph_residual_bound(float(gamma))
+        assert abs(Fraction(bound) - exact) <= Fraction(1, 10 ** 14) * exact, gamma
+    for gamma in (10.0, 20.0, 40.0, 80.0, 12.5):
+        closed = gamma ** gamma / (gamma + 1.0) ** (gamma + 1.0)
+        assert monitors.graph_residual_bound(gamma) == pytest.approx(closed, rel=1e-14)
 
 
 def test_energy_closed_form_single_cell_value(params, spec):

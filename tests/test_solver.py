@@ -536,11 +536,11 @@ def test_prerelaxed_warmup_runs_once_per_inputs(monkeypatch):
 
 
 def test_initial_from_csv_roundtrip(tmp_path):
-    from tumorhs.grid import Field
     params = model.ModelParams(gamma=10.0)
     g = Grid.symmetric(1, 1.0, 32)
     n0 = np.clip(0.5 + 0.3 * np.sin(g.coords[0] * 3.0), 0.0, params.n_H)
-    Field(g, n0).to_csv(tmp_path / "n0.csv")
+    np.savetxt(tmp_path / "n0.csv", np.column_stack([g.coords[0], n0]), delimiter=",",
+               header="x0,value", comments="", fmt="%.17g")
     n_read, p_read = solver.initial_from_csv(g, params, tmp_path / "n0.csv")
     assert np.allclose(n_read, n0, rtol=0, atol=1e-15)
 
