@@ -306,9 +306,6 @@ class IntegrabilityResult:
     increments: np.ndarray
     totals: np.ndarray
 
-    def table(self):
-        return np.column_stack([self.eps[1:], self.increments, self.totals])
-
 
 def classify_increments(increments, last_k: int = 8) -> str:
     """Convergent if the tail increments decrease monotonically, divergent if

@@ -28,6 +28,14 @@ from . import __version__, analytic, config as config_mod, limit, model, monitor
 ASSERT_FAIL = 2
 
 
+def _verdict(failures, assert_) -> int:
+    """Print one PASS/FAIL line per (name, ok, detail) check; the exit code is
+    ASSERT_FAIL when a check failed under --assert, else 0."""
+    for name, ok, detail in failures:
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    return ASSERT_FAIL if assert_ and any(not ok for _, ok, _ in failures) else 0
+
+
 def _load_config(args) -> config_mod.ExperimentConfig:
     if args.config:
         return config_mod.parse_config(args.config)
@@ -61,12 +69,7 @@ def cmd_run(args) -> int:
     print(f"run complete: {out_dir}")
     print(f"steps={traj.meta['steps']} runtime={traj.meta['runtime_s']:.2f}s "
           f"clipped_mass={traj.clipped_mass:.3e}")
-    failures = run_assertions(traj, report, setup, cfg)
-    for name, ok, detail in failures:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    if args.assert_ and any(not ok for _, ok, _ in failures):
-        return ASSERT_FAIL
-    return 0
+    return _verdict(run_assertions(traj, report, setup, cfg), args.assert_)
 
 
 def run_assertions(traj, report, setup, cfg):
@@ -167,11 +170,7 @@ def cmd_sweep(args) -> int:
             failures.append(("complementarity rhs quartered over the sweep",
                              rhs[-1] <= rhs[0] / 4.0,
                              f"{rhs[-1]:.3e} vs {rhs[0]:.3e}/4"))
-    for name, ok, detail in failures:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    if args.assert_ and any(not ok for _, ok, _ in failures):
-        return ASSERT_FAIL
-    return 0
+    return _verdict(failures, args.assert_)
 
 
 DEFAULT_ALPHAS = (2.0, 3.0, 3.5, 4.0, 4.5, 6.0)
@@ -200,11 +199,7 @@ def cmd_focusing(args) -> int:
         want = "convergent" if res.alpha <= 4.0 else "divergent"
         failures.append((f"alpha={res.alpha:g} classified {want}",
                          res.classification == want, res.classification))
-    for name, ok, detail in failures:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    if args.assert_ and any(not ok for _, ok, _ in failures):
-        return ASSERT_FAIL
-    return 0
+    return _verdict(failures, args.assert_)
 
 
 def cmd_barenblatt(args) -> int:
@@ -233,11 +228,7 @@ def cmd_barenblatt(args) -> int:
                                                          encoding="utf-8")
     with open(out_root / "barenblatt_timing.json", "w", encoding="utf-8") as fh:
         json.dump(timing, fh, indent=1, sort_keys=True)
-    for name, ok, detail in failures:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    if args.assert_ and any(not ok for _, ok, _ in failures):
-        return ASSERT_FAIL
-    return 0
+    return _verdict(failures, args.assert_)
 
 
 def cmd_report(args) -> int:

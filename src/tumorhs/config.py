@@ -43,15 +43,6 @@ class ConfigError(ValueError):
         super().__init__(lines)
 
 
-def _bool(s: str) -> bool:
-    s = s.strip().lower()
-    if s in ("true", "yes", "on", "1"):
-        return True
-    if s in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {s!r}")
-
-
 def _float_list(s: str) -> tuple:
     return tuple(float(tok) for tok in s.replace(",", " ").split())
 
@@ -107,7 +98,6 @@ _SCHEMA = {
         "zeta_radius": (float, 1.5),
         "zeta_t_center": (float, 0.4),
         "zeta_t_halfwidth": (float, 0.3),
-        "weight": (_bool, True),
     },
     "barrier": {
         "s0": (float, 0.0),              # 0 -> derived from the initial radius
@@ -118,7 +108,6 @@ _SCHEMA = {
     },
     "output": {
         "directory": (str, "out"),
-        "seed": (int, 0),
     },
 }
 
@@ -128,11 +117,6 @@ CADENCE_FACTOR = 1e3  # snapshot spacing must not exceed this multiple of the CF
 @dataclass
 class ExperimentConfig:
     values: dict            # section -> key -> parsed value
-    source_text: str = ""
-
-    def __getitem__(self, section_key: tuple):
-        section, key = section_key
-        return self.values[section][key]
 
     def get(self, section: str, key: str):
         return self.values[section][key]
@@ -197,7 +181,7 @@ def parse_config_text(text: str, env: dict | None = None) -> ExperimentConfig:
             errors.append((None, f"override {name}: {exc}"))
     if errors:
         raise ConfigError(errors)
-    cfg = ExperimentConfig(values=values, source_text=text)
+    cfg = ExperimentConfig(values=values)
     _validate(cfg)
     return cfg
 
@@ -358,9 +342,10 @@ def barrier_params(cfg: ExperimentConfig, setup) -> analytic.BarrierParams | Non
     return analytic.BarrierParams.for_run(S0, spec)
 
 
-def build_setup(cfg: ExperimentConfig, gamma_override: float | None = None,
-                out_dir=None):
-    """RunSetup + test bump (+ weight flag) for one run of this experiment."""
+def build_setup(cfg: ExperimentConfig, gamma_override: float | None = None):
+    """RunSetup, test bump and weight flag for one run of this experiment:
+    selection = all turns on both extras (the bump only when T > 0), direct
+    neither."""
     params = _model_params(cfg, gamma_override)
     spec = reaction_spec(cfg, params)
     gv = cfg.values["grid"]
@@ -390,17 +375,16 @@ def build_setup(cfg: ExperimentConfig, gamma_override: float | None = None,
     tv = cfg.values["time"]
     setup = solver.RunSetup(grid=g, params=params, spec=spec, n0=n0, c0=c0,
                             T=tv["horizon"], snapshot_dt=tv["snapshot_dt"],
-                            cfl_safety=tv["cfl_safety"], out_dir=out_dir,
-                            meta={"gamma": params.gamma,
-                                  "seed": cfg.values["output"]["seed"]})
+                            cfl_safety=tv["cfl_safety"], meta={"gamma": params.gamma})
+    extras = cfg.values["monitors"]["selection"] == "all"
     zeta = None
-    if cfg.values["monitors"]["selection"] == "all" and tv["horizon"] > 0:
+    if extras and tv["horizon"] > 0:
         mv = cfg.values["monitors"]
         zeta = TestFunction(center=(mv["zeta_center"],) * gv["dimension"],
                             radius=mv["zeta_radius"],
                             t_center=mv["zeta_t_center"],
                             t_halfwidth=mv["zeta_t_halfwidth"])
-    return setup, zeta, cfg.values["monitors"]["weight"]
+    return setup, zeta, extras
 
 
 def render_config(cfg: ExperimentConfig) -> str:

@@ -101,9 +101,6 @@ class Grid:
         half = min(-self.lo, self.hi)
         return radius + margin_cells * self.h <= half
 
-    def zeros(self) -> np.ndarray:
-        return np.zeros(self.shape)
-
 
 # ---------------------------------------------------------------------------
 # ghost-cell extension and stencils

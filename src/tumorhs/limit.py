@@ -170,16 +170,22 @@ def run_once(cfg, gamma: float | None = None, out_root=None) -> tuple:
     """Run a parsed config (at gamma, when given) and compute its monitors.
 
     With out_root the run directory out_root/<config hash>[-g<gamma>] is
-    written, and a failing run leaves its partial dump there.  Returns
-    (trajectory, monitor report, setup, run directory or None).
+    written, and a run that fails with a SolverError leaves the snapshots it
+    reached there as a partial dump.  Returns (trajectory, monitor report,
+    setup, run directory or None).
     """
     out_dir = echo = None
     if out_root is not None:
         echo = config.render_config(cfg)
         tag = "" if gamma is None else f"g{gamma:g}"
         out_dir = runio.run_dir_for(out_root, echo, tag=tag)
-    setup, zeta, weight_on = config.build_setup(cfg, gamma_override=gamma, out_dir=out_dir)
-    traj = solver.run(setup)
+    setup, zeta, weight_on = config.build_setup(cfg, gamma_override=gamma)
+    try:
+        traj = solver.run(setup)
+    except solver.SolverError as exc:
+        if out_dir is not None:
+            runio.flush_partial(out_dir, exc.trajectory)
+        raise
     weight = monitors.build_weight(setup.grid) if weight_on else None
     report = monitors.compute_report(traj, setup.spec, zeta=zeta, weight=weight)
     if out_dir is not None:

@@ -133,10 +133,19 @@ def pressure_from_density(n, gamma: float) -> np.ndarray:
     if np.any(n < 0.0):
         idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(n)), n.shape))
         raise DomainError(f"negative density {n[idx]:.3e} at cell {idx}")
+    return _pressure(n, gamma)
+
+
+def _pressure(n: np.ndarray, gamma: float) -> np.ndarray:
+    """p = exp(gamma * log n), with p = 0 where n = 0.  n >= 0 is the caller's
+    guarantee: pressure_from_density checks it, the solver's density step
+    ensures it."""
     pos = n > 0.0
-    out = np.zeros_like(n)
-    out[pos] = np.exp(gamma * np.log(n[pos]))
-    return out
+    p = np.zeros(n.shape)
+    np.log(n, out=p, where=pos)
+    p *= gamma
+    np.exp(p, out=p, where=pos)
+    return p
 
 
 def density_from_pressure(p, gamma: float) -> np.ndarray:

@@ -22,8 +22,9 @@ Everything is measured in one pass over the history, a block of snapshots at
 a time: each derivative (grad p, grad c, Lap p, Lap c, the Hessian terms),
 G, Gbar and w is computed once per block, vectorised over the snapshot axis,
 and every series value and per-interval integrand is reduced over the space
-axes of the block.  The per-snapshot range functions (ab_negative_l3, ...,
-complementarity_residual) select from the same pass.
+axes of the block.  compute_report is the one way to measure; the integrals
+over a sub-interval of the run are those of the report of the trajectory cut
+to that time slice.
 
 Space integrals are midpoint-rule sums.  Time accumulation is left-endpoint
 over the snapshot intervals, added one interval at a time in time order, so
@@ -47,16 +48,9 @@ __all__ = [
     "WeightFunction",
     "build_weight",
     "ab_field",
-    "ab_negative_l3",
-    "laplacian_l1",
-    "weighted_ab_l3",
-    "grad_p_l4",
-    "dissipation",
-    "complementarity_residual",
     "graph_residual",
     "graph_residual_bound",
     "energy",
-    "direct_estimates",
     "compute_report",
     "SERIES_COLUMNS",
 ]
@@ -69,9 +63,6 @@ class MonitorReport:
     series: dict            # name -> ndarray over snapshots
     accum: dict             # name -> float, nondecreasing in T
     meta: dict = field(default_factory=dict)
-
-    def row(self, k: int) -> dict:
-        return {name: float(vals[k]) for name, vals in self.series.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -161,18 +152,16 @@ def energy(state: State, spec: model.ReactionSpec) -> float:
 _BLOCK_CELLS = 4096
 
 
-def _scan(traj: Trajectory, k0: int, k1: int, spec: model.ReactionSpec | None = None,
-          zeta: TestFunction | None = None,
-          weight: WeightFunction | None = None) -> dict:
-    """One pass over the snapshots k0 <= k < k1, a block of them at a time.
+def _scan(traj: Trajectory, spec: model.ReactionSpec, zeta: TestFunction | None,
+          weight: WeightFunction | None) -> dict:
+    """One pass over the snapshots, a block of them at a time.
 
-    Returns name -> array over those snapshots: the per-snapshot series
-    values (unscaled sums where the series is an integral) and, for each
-    space-time accumulator, the space sum of its integrand at k.  The
-    difference quotients exist only for k < K - 1, where k + 1 does.  Each
-    derivative is computed once per block, each snapshot gets exactly the
-    bits it gets alone, and without spec the reaction-dependent entries
-    (and those of zeta and weight) are left out.
+    Returns name -> array over the snapshots: the per-snapshot series values
+    (unscaled sums where the series is an integral) and, for each space-time
+    accumulator, the space sum of its integrand at k.  The difference
+    quotients exist only for k < K - 1, where k + 1 does.  Each derivative is
+    computed once per block, and each snapshot gets exactly the bits it gets
+    alone.
     """
     g = traj.grid
     dim, h = g.dim, g.h
@@ -194,8 +183,8 @@ def _scan(traj: Trajectory, k0: int, k1: int, spec: model.ReactionSpec | None = 
         parts.setdefault(name, []).append(block_sums)
 
     size = max(1, _BLOCK_CELLS // traj.n[0].size)
-    for a in range(k0, k1, size):
-        b = min(a + size, k1)
+    for a in range(0, K, size):
+        b = min(a + size, K)
         n, p, c = traj.n[a:b], traj.p[a:b], traj.c[a:b]
         put("mass", np.sum(n, axis=axes))
         put("linf_n", np.max(n, axis=axes))
@@ -231,8 +220,6 @@ def _scan(traj: Trajectory, k0: int, k1: int, spec: model.ReactionSpec | None = 
             put("dt_c_l1", np.sum(np.abs(dc), axis=axes))
             put("dt_c_l2_sq", np.sum(dc * dc, axis=axes))
 
-        if spec is None:
-            continue
         G = spec.G(p, c)
         w = lap + G
         w_neg3 = np.maximum(-w, 0.0) ** 3
@@ -259,108 +246,38 @@ def _scan(traj: Trajectory, k0: int, k1: int, spec: model.ReactionSpec | None = 
     return {name: np.concatenate(blocks) for name, blocks in parts.items()}
 
 
-def _interval_scan(traj: Trajectory, k0: int, k1: int | None, **kwargs) -> dict:
-    """The pass over the left endpoints k0 <= k < min(k1, K - 1)."""
-    stop = min(len(traj) if k1 is None else k1, len(traj) - 1)
-    return _scan(traj, k0, max(stop, k0), **kwargs)
-
-
-def _accumulate(traj: Trajectory, sums: dict, name: str, k0: int = 0) -> float:
-    """Left-endpoint rule over the intervals from k0 on, added in k order:
-    sum_k s_k * h^d * dt_k with s_k = sums[name][k - k0]."""
-    hd = traj.grid.cell_volume
-    total = 0.0
-    if name in sums:
-        for s, dt in zip(sums[name].tolist(), np.diff(traj.times)[k0:].tolist()):
-            total += s * hd * dt
-    return total
-
-
-def _dissipation(traj: Trajectory, sums: dict, k0: int = 0) -> tuple:
-    return ((traj.params.gamma - 1.0) * _accumulate(traj, sums, "diss_w", k0),
-            _accumulate(traj, sums, "diss_h", k0))
-
-
-def _complementarity(traj: Trajectory, zeta: TestFunction, sums: dict,
-                     k0: int = 0) -> tuple:
-    gamma = traj.params.gamma
-    lhs = -_accumulate(traj, sums, "compl_lhs", k0) / gamma
-    rhs = _accumulate(traj, sums, "compl_rhs", k0)
-    p_l1 = _accumulate(traj, sums, "l1_p", k0)
-    gp_l2 = _accumulate(traj, sums, "grad_p_sq", k0)
-    zmax, dtmax = zeta.sup_norms(traj.grid, traj.times[:-1])
-    info = {
-        "defect": abs(lhs - rhs),
-        "lhs_bound": (p_l1 * dtmax + gp_l2 * zmax) / gamma,
-        "p_l1_spacetime": p_l1,
-        "grad_p_l2_sq_spacetime": gp_l2,
-        "zeta_sup": zmax,
-        "zeta_dt_sup": dtmax,
-    }
-    return lhs, rhs, info
-
-
-# ---------------------------------------------------------------------------
-# space-time accumulators over the left endpoints k0 <= k < k1
-# ---------------------------------------------------------------------------
-
-def ab_negative_l3(traj: Trajectory, spec: model.ReactionSpec,
-                   k0: int = 0, k1: int | None = None) -> float:
-    """intint |w|_-^3 over the selected snapshot range."""
-    return _accumulate(traj, _interval_scan(traj, k0, k1, spec=spec), "ab_neg_l3", k0)
-
-
-def laplacian_l1(traj: Trajectory, k0: int = 0, k1: int | None = None) -> float:
-    return _accumulate(traj, _interval_scan(traj, k0, k1), "lap_l1", k0)
-
-
-def weighted_ab_l3(traj: Trajectory, weight: WeightFunction,
-                   spec: model.ReactionSpec, k0: int = 0,
-                   k1: int | None = None) -> float:
-    """intint |w|_-^3 Phi; Phi's pointwise bounds are re-verified first."""
-    sums = _interval_scan(traj, k0, k1, spec=spec, weight=weight)
-    return _accumulate(traj, sums, "weighted_ab_neg_l3", k0)
-
-
-def grad_p_l4(traj: Trajectory, k0: int = 0, k1: int | None = None) -> float:
-    """intint |grad p|^4 (centered differences)."""
-    return _accumulate(traj, _interval_scan(traj, k0, k1), "grad_p_l4", k0)
-
-
-def dissipation(traj: Trajectory, spec: model.ReactionSpec, k0: int = 0,
-                k1: int | None = None) -> tuple:
-    """((gamma-1) intint p|w|^2, intint p sum_ij (d2_ij p)^2)."""
-    return _dissipation(traj, _interval_scan(traj, k0, k1, spec=spec), k0)
-
-
-def complementarity_residual(traj: Trajectory, zeta: TestFunction,
-                             spec: model.ReactionSpec, k0: int = 0,
-                             k1: int | None = None) -> tuple:
-    """Both sides of the weak stiff-pressure identity, plus the explicit
-    (1/gamma) bound on the left side with all factors measured.
-
-    Returns (lhs, rhs, info) where info carries the defect and bound pieces.
-    """
-    sums = _interval_scan(traj, k0, k1, spec=spec, zeta=zeta)
-    return _complementarity(traj, zeta, sums, k0)
-
-
-# ---------------------------------------------------------------------------
-# direct estimates (per-snapshot norms and time-difference accumulators)
-# ---------------------------------------------------------------------------
-
 SERIES_COLUMNS = [
     "t", "dt", "mass", "linf_n", "l1_n", "linf_p", "l1_p", "l1_c_dev",
     "l2_grad_c", "l2_grad_p", "energy", "graph_residual", "support_radius",
     "w_min",
 ]
 
-_DIRECT_ACCUM = ("grad_c_l4", "lap_c_l2_sq", "dt_c_l2_sq", "dt_n_l1", "dt_p_l1",
-                 "dt_c_l1")
 
+def compute_report(traj: Trajectory, spec: model.ReactionSpec,
+                   zeta: TestFunction | None = None,
+                   weight: WeightFunction | None = None) -> MonitorReport:
+    """All monitors for one trajectory from one pass over its snapshots; the
+    report is what runs write to disk.
 
-def _direct_report(traj: Trajectory, sums: dict) -> MonitorReport:
+    Per-snapshot norms, then the space-time integrals of the one-sided
+    Laplacian bounds, of c's derivatives and of the time-difference quotients
+    of (n, p, c); with weight the Phi-weighted |w|_-^3, with zeta both sides
+    of the weak stiff-pressure identity plus the explicit (1/gamma) bound on
+    its left side, with all factors measured.
+    """
+    sums = _scan(traj, spec, zeta, weight)
     hd = traj.grid.cell_volume
+    dts = np.diff(traj.times).tolist()
+    gamma = traj.params.gamma
+
+    def accumulate(name):
+        """Left-endpoint rule, added in k order: sum_k sums[name][k] * h^d * dt_k."""
+        total = 0.0
+        if name in sums:
+            for s, dt in zip(sums[name].tolist(), dts):
+                total += s * hd * dt
+        return total
+
     series = {
         "t": traj.times.copy(),
         "dt": traj.snap_dts.copy(),
@@ -377,45 +294,29 @@ def _direct_report(traj: Trajectory, sums: dict) -> MonitorReport:
         "support_radius": sums["support_radius"],
         "w_min": sums["w_min"],
     }
-    accum = {name: _accumulate(traj, sums, name) for name in _DIRECT_ACCUM}
-    return MonitorReport(series=series, accum=accum, meta={"gamma": traj.params.gamma})
-
-
-def direct_estimates(traj: Trajectory, spec: model.ReactionSpec) -> MonitorReport:
-    """Per-snapshot norms plus the accumulated bounds on c's derivatives and
-    the time-difference quotients of (n, p, c)."""
-    return _direct_report(traj, _scan(traj, 0, len(traj), spec))
-
-
-# ---------------------------------------------------------------------------
-# full report
-# ---------------------------------------------------------------------------
-
-def compute_report(traj: Trajectory, spec: model.ReactionSpec,
-                   zeta: TestFunction | None = None,
-                   weight: WeightFunction | None = None) -> MonitorReport:
-    """All monitors for one trajectory from one pass over its snapshots; the
-    report is what runs write to disk."""
-    sums = _scan(traj, 0, len(traj), spec, zeta, weight)
-    report = _direct_report(traj, sums)
-    report.accum["ab_neg_l3"] = _accumulate(traj, sums, "ab_neg_l3")
-    report.accum["lap_l1"] = _accumulate(traj, sums, "lap_l1")
-    report.accum["grad_p_l4"] = _accumulate(traj, sums, "grad_p_l4")
-    diss_w, diss_h = _dissipation(traj, sums)
-    report.accum["diss_pressure_weighted"] = diss_w
-    report.accum["diss_hessian"] = diss_h
+    accum = {name: accumulate(name) for name in (
+        "grad_c_l4", "lap_c_l2_sq", "dt_c_l2_sq", "dt_n_l1", "dt_p_l1", "dt_c_l1",
+        "ab_neg_l3", "lap_l1", "grad_p_l4")}
+    # the dissipation pair ((gamma-1) intint p|w|^2, intint p sum_ij (d2_ij p)^2)
+    accum["diss_pressure_weighted"] = (gamma - 1.0) * accumulate("diss_w")
+    accum["diss_hessian"] = accumulate("diss_h")
+    meta = {"gamma": gamma}
     if weight is not None:
-        report.accum["weighted_ab_neg_l3"] = _accumulate(traj, sums, "weighted_ab_neg_l3")
-        report.meta["C_phi"] = weight.C_phi
+        accum["weighted_ab_neg_l3"] = accumulate("weighted_ab_neg_l3")
+        meta["C_phi"] = weight.C_phi
     if zeta is not None:
-        lhs, rhs, info = _complementarity(traj, zeta, sums)
-        report.accum["compl_lhs"] = lhs
-        report.accum["compl_rhs"] = rhs
-        report.accum["compl_defect"] = info["defect"]
-        report.accum["compl_lhs_bound"] = info["lhs_bound"]
-        report.meta.update({k: v for k, v in info.items() if k.startswith("zeta")})
-    report.accum["graph_residual_max"] = float(np.max(report.series["graph_residual"]))
-    report.accum["energy_max"] = float(np.max(report.series["energy"]))
-    report.meta["clipped_mass"] = traj.clipped_mass
-    report.meta["steps"] = int(traj.meta.get("steps", 0))
-    return report
+        lhs = -accumulate("compl_lhs") / gamma
+        rhs = accumulate("compl_rhs")
+        zmax, dtmax = zeta.sup_norms(traj.grid, traj.times[:-1])
+        accum["compl_lhs"] = lhs
+        accum["compl_rhs"] = rhs
+        accum["compl_defect"] = abs(lhs - rhs)
+        accum["compl_lhs_bound"] = (accumulate("l1_p") * dtmax
+                                    + accumulate("grad_p_sq") * zmax) / gamma
+        meta["zeta_sup"] = zmax
+        meta["zeta_dt_sup"] = dtmax
+    accum["graph_residual_max"] = float(np.max(series["graph_residual"]))
+    accum["energy_max"] = float(np.max(series["energy"]))
+    meta["clipped_mass"] = traj.clipped_mass
+    meta["steps"] = int(traj.meta.get("steps", 0))
+    return MonitorReport(series=series, accum=accum, meta=meta)

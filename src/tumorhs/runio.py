@@ -60,13 +60,13 @@ def _grid_manifest(g: Grid) -> dict:
     return {"dimension": g.dim, "lo": g.lo, "hi": g.hi, "cells": g.n, "h": g.h}
 
 
-def write_fields_binary(path, traj: Trajectory, snapshots: int | None = None) -> list:
-    """Raw little-endian float64 blocks of the first `snapshots` snapshots
-    (all by default); returns the byte-offset table."""
+def write_fields_binary(path, traj: Trajectory) -> list:
+    """Raw little-endian float64 blocks of every snapshot; returns the
+    byte-offset table."""
     offsets = []
     with open(path, "wb") as fh:
         pos = 0
-        for k in range(len(traj) if snapshots is None else snapshots):
+        for k in range(len(traj)):
             for name in FIELD_NAMES:
                 block = np.ascontiguousarray(getattr(traj, name)[k], dtype="<f8")
                 fh.write(block.tobytes())
@@ -147,16 +147,15 @@ def write_run(out_dir, config_text: str, traj: Trajectory,
 
 
 def flush_partial(out_dir, traj: Trajectory) -> None:
-    """Best-effort dump of an aborted run: the traj.meta["snapshots_done"]
-    snapshots it reached (all of them when unset)."""
+    """Best-effort dump of an aborted run, whose trajectory (the .trajectory
+    of its SolverError) holds the snapshots it reached."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    done = traj.meta.get("snapshots_done", len(traj))
     try:
-        write_fields_binary(out_dir / "fields.partial.bin", traj, done)
+        write_fields_binary(out_dir / "fields.partial.bin", traj)
         with open(out_dir / "partial.json", "w", encoding="utf-8") as fh:
-            json.dump({"version": __version__, "snapshots": done,
-                       "times": [float(t) for t in traj.times[:done]],
+            json.dump({"version": __version__, "snapshots": len(traj),
+                       "times": [float(t) for t in traj.times],
                        "note": "aborted run; snapshots up to the failure"}, fh)
     except OSError:
         pass

@@ -62,7 +62,10 @@ STATE_TOL = 1e-8
 
 
 class SolverError(RuntimeError):
-    """Fatal integration failure with cell-level diagnostics."""
+    """Fatal integration failure with cell-level diagnostics.  Raised out of
+    run(), it carries the trajectory cut to the snapshots reached."""
+
+    trajectory = None
 
 
 @dataclass
@@ -110,7 +113,6 @@ class RunSetup:
     T: float
     snapshot_dt: float
     cfl_safety: float = 0.4
-    out_dir: object = None     # pathlib.Path | None; partial flush target
     meta: dict = field(default_factory=dict)
 
 
@@ -332,17 +334,6 @@ def _flux_divergence(n: np.ndarray, p: np.ndarray, h: float,
     return div
 
 
-def _pressure(n: np.ndarray, gamma: float) -> np.ndarray:
-    """p = exp(gamma * log n), with p = 0 where n = 0; n >= 0 is the caller's
-    guarantee."""
-    pos = n > 0.0
-    p = np.zeros(n.shape)
-    np.log(n, out=p, where=pos)
-    p *= gamma
-    np.exp(p, out=p, where=pos)
-    return p
-
-
 def step_density(state: State, dt: float, params: model.ModelParams,
                  spec: model.ReactionSpec, *, G: np.ndarray | None = None,
                  _buffers: _FluxBuffers | None = None) -> tuple:
@@ -375,7 +366,7 @@ def step_density(state: State, dt: float, params: model.ModelParams,
         np.clip(n_new, 0.0, n_H, out=n_new)
     # the NEG_TOL abort and the clip above make n_new >= 0, which is all the
     # pressure law's negative-density guard would check
-    return n_new, _pressure(n_new, params.gamma), clipped
+    return n_new, model._pressure(n_new, params.gamma), clipped
 
 
 class _NutrientSolver:
@@ -535,9 +526,9 @@ def _step(state: State, t_stop: float, setup: RunSetup, buffers: _FluxBuffers,
 def run(setup: RunSetup) -> Trajectory:
     """Advance from t = 0 to T, landing exactly on every snapshot mark.
 
-    Any step failure records in traj.meta["snapshots_done"] how many
-    snapshots were reached and flushes those to setup.out_dir (when set)
-    before re-raising.
+    On a step failure the trajectory is cut to the snapshots reached and
+    attached to the SolverError as its .trajectory before it is re-raised;
+    run writes no files.
     """
     g, params = setup.grid, setup.params
     marks = snapshot_times(setup.T, setup.snapshot_dt)
@@ -567,18 +558,16 @@ def run(setup: RunSetup) -> Trajectory:
             traj.n[k], traj.p[k], traj.c[k] = state.n, state.p, state.c
             traj.snap_dts[k] = last_dt
             done = k + 1
-    except Exception:
+    except SolverError as exc:
+        for name in ("times", "n", "p", "c", "snap_dts"):
+            setattr(traj, name, getattr(traj, name)[:done])
+        exc.trajectory = traj
+        raise
+    finally:
         traj.dts = np.asarray(dts)
         traj.clipped_mass = clipped_total
-        traj.meta["snapshots_done"] = done
-        if setup.out_dir is not None:
-            from . import runio
-            runio.flush_partial(setup.out_dir, traj)
-        raise
-    traj.dts = np.asarray(dts)
-    traj.clipped_mass = clipped_total
-    traj.meta["runtime_s"] = _time.perf_counter() - wall0
-    traj.meta["steps"] = len(dts)
+        traj.meta["runtime_s"] = _time.perf_counter() - wall0
+        traj.meta["steps"] = len(dts)
     return traj
 
 

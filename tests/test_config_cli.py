@@ -100,7 +100,6 @@ horizon = 0.005
 snapshot_dt = 2.5e-3
 [monitors]
 selection = direct
-weight = false
 """
 
 
@@ -140,6 +139,20 @@ def test_monitor_selection_is_closed():
                for ln, msg in err.value.errors)
     with pytest.raises(ConfigError, match="expected 'all' or 'direct', got 'basic'"):
         parse_config_text(MINIMAL, env={"TUMORHS_MONITORS__SELECTION": "basic"})
+
+
+def test_monitor_selection_picks_the_extras(tmp_path):
+    # all: the zeta pair and the weighted bound; direct: neither
+    for selection, extras in (("direct", False), ("all", True)):
+        cfg_path = tmp_path / f"{selection}.cfg"
+        cfg_path.write_text(MINIMAL + f"selection = {selection}\n", encoding="utf-8")
+        out = tmp_path / selection
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        accum = runio.load_summary(next(out.iterdir()))["accumulated"]
+        assert ("weighted_ab_neg_l3" in accum) == extras
+        compl = [k for k in accum if k.startswith("compl_")]
+        assert compl == (["compl_defect", "compl_lhs", "compl_lhs_bound", "compl_rhs"]
+                         if extras else [])
 
 
 def test_zeta_window_must_fit():

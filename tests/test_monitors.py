@@ -1,5 +1,6 @@
 """Estimate monitors on synthetic trajectories with closed-form oracles."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,10 +9,8 @@ import pytest
 
 from tumorhs import grid, model, monitors, solver
 from tumorhs.grid import DIRICHLET_ZERO, Grid, TestFunction, laplacian_array
-from tumorhs.monitors import (ab_field, ab_negative_l3, build_weight,
-                              complementarity_residual, direct_estimates,
-                              dissipation, energy, grad_p_l4, graph_residual,
-                              laplacian_l1, weighted_ab_l3)
+from tumorhs.monitors import (ab_field, build_weight, compute_report, energy,
+                              graph_residual)
 from tumorhs.solver import State, Trajectory
 
 
@@ -27,6 +26,14 @@ def synthetic_traj(g, params, p_fields, c_fields=None, times=None):
         c = np.stack([np.asarray(f, dtype=float) for f in c_fields])
     return Trajectory(grid=g, params=params, times=times, n=n, p=p, c=c,
                       snap_dts=np.zeros(K), dts=np.zeros(0), clipped_mass=0.0)
+
+
+def time_slice(traj, a, b):
+    """traj cut to the snapshots a..b (b included, clipped to the last one):
+    its report accumulates over the intervals a..b-1 of traj."""
+    k = slice(a, b + 1)
+    return dataclasses.replace(traj, times=traj.times[k], n=traj.n[k], p=traj.p[k],
+                               c=traj.c[k], snap_dts=traj.snap_dts[k])
 
 
 @pytest.fixture
@@ -92,29 +99,29 @@ def test_zero_pressure_trajectory_reduces_to_reaction_quadrature(g1, params, spe
     x = g1.coords[0]
     c = params.c_B * (1.0 - 0.8 * np.exp(-4.0 * x * x))
     traj = synthetic_traj(g1, params, [np.zeros(g1.shape)] * 3, [c] * 3)
-    got = ab_negative_l3(traj, spec)
+    accum = compute_report(traj, spec).accum
     gneg = np.maximum(-np.asarray(spec.G(np.zeros(g1.shape), c)), 0.0)
     direct = float(np.sum(gneg ** 3)) * g1.cell_volume * 1.0   # unit time span
-    assert got == pytest.approx(direct, rel=1e-13)
-    assert laplacian_l1(traj) == 0.0
-    assert grad_p_l4(traj) == 0.0
-    assert dissipation(traj, spec) == (0.0, 0.0)
+    assert accum["ab_neg_l3"] == pytest.approx(direct, rel=1e-13)
+    assert accum["lap_l1"] == 0.0
+    assert accum["grad_p_l4"] == 0.0
+    assert (accum["diss_pressure_weighted"], accum["diss_hessian"]) == (0.0, 0.0)
 
 
 def test_zero_pressure_complementarity_pair_vanishes(g1, params, spec):
     traj = synthetic_traj(g1, params, [np.zeros(g1.shape)] * 4)
     zeta = TestFunction(center=(0.0,), radius=1.0, t_center=0.5, t_halfwidth=0.3)
-    lhs, rhs, info = complementarity_residual(traj, zeta, spec)
-    assert lhs == 0.0 and rhs == 0.0
+    accum = compute_report(traj, spec, zeta=zeta).accum
+    assert accum["compl_lhs"] == 0.0 and accum["compl_rhs"] == 0.0
 
 
-def test_frozen_parabola_grad_p_l4_exact_value(params):
+def test_frozen_parabola_grad_p_l4_exact_value(params, spec):
     # static p = |1 - x^2|_+ over unit time: int int |grad p|^4 = 32/5
     g = Grid.symmetric(1, 2.0, 800)
     x = g.coords[0]
     p = np.maximum(1.0 - x * x, 0.0)
     traj = synthetic_traj(g, params, [p] * 5)
-    val = grad_p_l4(traj)
+    val = compute_report(traj, spec).accum["grad_p_l4"]
     assert val == pytest.approx(6.4, rel=2e-2)   # kink cells contribute O(h)
 
 
@@ -139,7 +146,9 @@ def test_amplitude_homogeneity(g1, params, spec):
     lam = 3.0
     t_a = synthetic_traj(g1, params, [p] * 3)
     t_b = synthetic_traj(g1, params, [lam * p] * 3)
-    assert grad_p_l4(t_b) == pytest.approx(lam ** 4 * grad_p_l4(t_a), rel=1e-12)
+    l4_a = compute_report(t_a, spec).accum["grad_p_l4"]
+    l4_b = compute_report(t_b, spec).accum["grad_p_l4"]
+    assert l4_b == pytest.approx(lam ** 4 * l4_a, rel=1e-12)
     lap_a = laplacian_array(t_a.p[0], g1.h, DIRICHLET_ZERO)
     lap_b = laplacian_array(t_b.p[0], g1.h, DIRICHLET_ZERO)
     # roundoff in the stencil is amplified by 1/h^2
@@ -161,16 +170,29 @@ def run_small(gamma=15.0):
     return solver.run(setup), spec
 
 
+# the accumulators that are plain left-endpoint sums (no factor applied after)
+SUMMED = ("grad_c_l4", "lap_c_l2_sq", "dt_c_l2_sq", "dt_n_l1", "dt_p_l1", "dt_c_l1",
+          "ab_neg_l3", "lap_l1", "grad_p_l4", "diss_hessian", "weighted_ab_neg_l3")
+
+
 def test_accumulators_additive_over_time_partition():
     traj, spec = run_small()
+    weight = build_weight(traj.grid)
     K = len(traj)
     mid = K // 2
-    for fn in (lambda *a: ab_negative_l3(traj, spec, *a),
-               lambda *a: laplacian_l1(traj, *a),
-               lambda *a: grad_p_l4(traj, *a)):
-        total = fn(0, K)
-        split = fn(0, mid) + fn(mid, K)
-        assert total == pytest.approx(split, rel=1e-13)
+    whole = compute_report(traj, spec, weight=weight).accum
+    first = compute_report(time_slice(traj, 0, mid), spec, weight=weight).accum
+    second = compute_report(time_slice(traj, mid, K), spec, weight=weight).accum
+    for name in SUMMED:
+        assert whole[name] == pytest.approx(first[name] + second[name], rel=1e-13), name
+    # over the partition into single intervals the additivity is exact: the
+    # run's accumulator adds up the one-interval accumulators in time order
+    totals = dict.fromkeys(SUMMED, 0.0)
+    for k in range(K - 1):
+        piece = compute_report(time_slice(traj, k, k + 1), spec, weight=weight).accum
+        for name in SUMMED:
+            totals[name] += piece[name]
+    assert_same_bits(totals, {name: whole[name] for name in SUMMED})
 
 
 def test_positive_part_chain_inequality():
@@ -295,8 +317,8 @@ def test_weighted_ab_bounded_by_weight_maximum(g1, params, spec):
     c = params.c_B * (1.0 - 0.8 * np.exp(-4.0 * x * x))
     traj = synthetic_traj(g1, params, [np.zeros(g1.shape)] * 3, [c] * 3)
     w = build_weight(g1)
-    weighted = weighted_ab_l3(traj, w, spec)
-    unweighted = ab_negative_l3(traj, spec)
+    accum = compute_report(traj, spec, weight=w).accum
+    weighted, unweighted = accum["weighted_ab_neg_l3"], accum["ab_neg_l3"]
     assert weighted <= float(np.max(w.values)) * unweighted + 1e-15
     # p = 0: the weighted accumulator is the direct weighted quadrature of G
     gneg = np.maximum(-np.asarray(spec.G(np.zeros(g1.shape), c)), 0.0)
@@ -305,12 +327,12 @@ def test_weighted_ab_bounded_by_weight_maximum(g1, params, spec):
 
 
 # ---------------------------------------------------------------------------
-# direct estimates and the full report
+# the full report
 # ---------------------------------------------------------------------------
 
 def test_direct_estimates_quiescent_trajectory(g1, params, spec):
     traj = synthetic_traj(g1, params, [np.zeros(g1.shape)] * 3)
-    rep = direct_estimates(traj, spec)
+    rep = compute_report(traj, spec)
     for key in ("l1_c_dev", "l2_grad_c"):
         assert np.all(rep.series[key] == 0.0)
     for key in ("grad_c_l4", "lap_c_l2_sq", "dt_c_l2_sq", "dt_c_l1"):
@@ -330,18 +352,17 @@ def test_pressure_l1_bound_and_nutrient_inequality_on_run():
 def test_complementarity_lhs_bound_holds_on_run():
     traj, spec = run_small()
     zeta = TestFunction(center=(0.0,), radius=1.0, t_center=0.05, t_halfwidth=0.03)
-    lhs, rhs, info = complementarity_residual(traj, zeta, spec)
-    assert abs(lhs) <= info["lhs_bound"] + 1e-15
-    assert info["defect"] == pytest.approx(abs(lhs - rhs), rel=1e-12)
+    accum = compute_report(traj, spec, zeta=zeta).accum
+    lhs, rhs = accum["compl_lhs"], accum["compl_rhs"]
+    assert abs(lhs) <= accum["compl_lhs_bound"] + 1e-15
+    assert accum["compl_defect"] == pytest.approx(abs(lhs - rhs), rel=1e-12)
 
 
 def test_report_accumulators_nondecreasing_in_horizon():
     traj, spec = run_small()
-    K = len(traj)
-    for fn in (lambda k: ab_negative_l3(traj, spec, 0, k),
-               lambda k: grad_p_l4(traj, 0, k),
-               lambda k: laplacian_l1(traj, 0, k)):
-        vals = [fn(k) for k in range(1, K)]
+    reports = [compute_report(time_slice(traj, 0, k), spec) for k in range(1, len(traj))]
+    for name in ("ab_neg_l3", "grad_p_l4", "lap_l1"):
+        vals = [rep.accum[name] for rep in reports]
         assert all(vals[i + 1] >= vals[i] - 1e-15 for i in range(len(vals) - 1))
 
 
@@ -523,25 +544,29 @@ def test_blocked_report_equals_per_snapshot_loop(case, run_1d_blocks):
 
 
 def test_range_accumulators_split_inside_a_block(run_1d_blocks):
+    # the report of a time slice that starts inside a block has the bits of
+    # the per-snapshot loop over that range of the whole run
     traj, spec, zeta, weight = run_1d_blocks
     K = len(traj)
     size = block_size(traj)
     mid = size + 3
     assert mid % size != 0 and mid < K - 1
-    fns = {
-        "ab_neg_l3": lambda a, b: ab_negative_l3(traj, spec, a, b),
-        "lap_l1": lambda a, b: laplacian_l1(traj, a, b),
-        "grad_p_l4": lambda a, b: grad_p_l4(traj, a, b),
-        "weighted_ab_neg_l3": lambda a, b: weighted_ab_l3(traj, weight, spec, a, b),
-        "diss_pressure_weighted": lambda a, b: dissipation(traj, spec, a, b)[0],
-        "diss_hessian": lambda a, b: dissipation(traj, spec, a, b)[1],
-        "compl_lhs": lambda a, b: complementarity_residual(traj, zeta, spec, a, b)[0],
-        "compl_rhs": lambda a, b: complementarity_residual(traj, zeta, spec, a, b)[1],
-    }
+    names = ("ab_neg_l3", "lap_l1", "grad_p_l4", "weighted_ab_neg_l3",
+             "diss_pressure_weighted", "diss_hessian")
+    parts = {}
     for a, b in ((0, mid), (mid, K), (3, mid)):
-        _, want, _ = reference_report(traj, spec, zeta=zeta, weight=weight, k0=a, k1=b)
-        for name, fn in fns.items():
-            assert_same_bits({name: fn(a, b)}, {name: want[name]})
-    for name, fn in fns.items():
-        total = fn(0, K)
-        assert total == pytest.approx(fn(0, mid) + fn(mid, K), rel=1e-13), name
+        got = compute_report(time_slice(traj, a, b), spec, weight=weight).accum
+        _, want, _ = reference_report(traj, spec, weight=weight, k0=a, k1=b)
+        assert_same_bits({n: got[n] for n in names}, {n: want[n] for n in names})
+        parts[a, b] = got
+    # zeta's time window must lie inside (0, T) of the slice; the (0, mid)
+    # slice ends on the window's upper edge, so these slices end later
+    for a, b in ((mid, K), (3, K - 2)):
+        got = compute_report(time_slice(traj, a, b), spec, zeta=zeta).accum
+        _, want, _ = reference_report(traj, spec, zeta=zeta, k0=a, k1=b)
+        for n in ("compl_lhs", "compl_rhs"):
+            assert_same_bits({n: got[n]}, {n: want[n]})
+    total = compute_report(traj, spec, weight=weight).accum
+    for name in names:
+        split = parts[0, mid][name] + parts[mid, K][name]
+        assert total[name] == pytest.approx(split, rel=1e-13), name

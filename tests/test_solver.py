@@ -11,7 +11,7 @@ from scipy import sparse
 from scipy.ndimage import binary_dilation
 from scipy.sparse.linalg import spsolve
 
-from tumorhs import model, solver
+from tumorhs import config, limit, model, runio, solver
 from tumorhs.grid import Grid
 from tumorhs.solver import (RunSetup, SolverError, State, cfl_dt, run,
                             step_density, step_nutrient)
@@ -359,7 +359,7 @@ def test_initial_report_norms_present():
 def test_partial_flush_on_failure(tmp_path):
     params = model.ModelParams(gamma=6.0)
     # negative consumption pumps the nutrient above c_B: the per-step state
-    # check trips and the partial trajectory is flushed before re-raising
+    # check trips, and the error carries the trajectory cut to what was reached
     def zero(x):
         return np.zeros_like(np.asarray(x, dtype=float))
     spec = model.ReactionSpec(G=lambda p, c: zero(p),
@@ -369,37 +369,70 @@ def test_partial_flush_on_failure(tmp_path):
     n0 = np.full(g.shape, 0.5)
     setup = RunSetup(grid=g, params=params, spec=spec, n0=n0,
                      c0=solver.nutrient_uniform(g, params), T=0.1,
-                     snapshot_dt=0.01, out_dir=tmp_path / "aborted")
-    with pytest.raises(SolverError):
+                     snapshot_dt=0.01)
+    with pytest.raises(SolverError) as err:
         run(setup)
     # the first step fails, so only the initial snapshot was reached
+    traj = err.value.trajectory
+    assert traj.times.tolist() == [0.0] and len(traj.snap_dts) == 1
+    assert traj.meta["steps"] == 0 and len(traj.dts) == 0
+    runio.flush_partial(tmp_path / "aborted", traj)
     partial = json.loads((tmp_path / "aborted" / "partial.json").read_text())
     assert partial["snapshots"] == 1 and partial["times"] == [0.0]
     blocks = np.fromfile(tmp_path / "aborted" / "fields.partial.bin", dtype="<f8")
     assert np.array_equal(blocks.reshape(1, 3, *g.shape)[0, 0], n0)
 
 
+PARTIAL_CFG = """
+[model]
+gamma = 12
+[grid]
+box_half_width = 2.6
+cells = 96
+[initial]
+builder = plateau
+theta = 0.4
+radius = 0.6
+edge_width = 0.25
+[barrier]
+radius_slack = 1.3
+[time]
+horizon = 0.02
+snapshot_dt = 2e-3
+[monitors]
+selection = direct
+"""
+
+
 def test_partial_flush_holds_the_snapshots_reached(tmp_path, monkeypatch):
-    full = run(small_setup())
-    setup = small_setup()
-    setup.out_dir = tmp_path / "aborted"
+    cfg = config.parse_config_text(PARTIAL_CFG, env={})
+    full = limit.run_once(cfg)[0]
     check = solver._check_state
 
     def fail_late(state, params):
         check(state, params)
-        if state.t > 0.016:
+        if state.t > 0.007:
             raise SolverError(f"injected failure at t={state.t}")
 
     monkeypatch.setattr(solver, "_check_state", fail_late)
-    with pytest.raises(SolverError, match="injected"):
-        run(setup)
-    partial = json.loads((setup.out_dir / "partial.json").read_text())
+    with pytest.raises(SolverError, match="injected") as err:
+        limit.run_once(cfg, out_root=tmp_path)
+    # snapshots 0, 2e-3, 4e-3 and 6e-3 were reached
+    traj = err.value.trajectory
+    for name in ("times", "n", "p", "c", "snap_dts"):
+        assert np.array_equal(getattr(traj, name), getattr(full, name)[:4]), name
+    steps = traj.meta["steps"]
+    assert np.array_equal(traj.dts, full.dts[:steps]) and steps > 0
+    run_dir, = tmp_path.iterdir()
+    assert sorted(p.name for p in run_dir.iterdir()) == ["fields.partial.bin",
+                                                          "partial.json"]
+    partial = json.loads((run_dir / "partial.json").read_text())
     assert partial["snapshots"] == 4
     assert partial["times"] == full.times[:4].tolist()
-    blocks = np.fromfile(setup.out_dir / "fields.partial.bin", dtype="<f8")
-    blocks = blocks.reshape(4, 3, *setup.grid.shape)
-    assert np.array_equal(blocks[:, 0], full.n[:4])
-    assert np.array_equal(blocks[:, 2], full.c[:4])
+    blocks = np.fromfile(run_dir / "fields.partial.bin", dtype="<f8")
+    blocks = blocks.reshape(4, 3, *full.grid.shape)
+    for i, name in enumerate(runio.FIELD_NAMES):
+        assert np.array_equal(blocks[:, i], getattr(full, name)[:4]), name
 
 
 def test_finite_propagation_one_cell_layer_per_step():
