@@ -65,7 +65,11 @@ def cmd_validate(args) -> int:
 def cmd_run(args) -> int:
     cfg = _load_config(args)
     out_root = args.out or cfg.get("output", "directory")
-    traj, report, setup, out_dir = limit.run_once(cfg, out_root=out_root)
+    try:
+        traj, report, setup, out_dir = limit.run_once(cfg, out_root=out_root)
+    except solver.SolverError as exc:
+        print(f"run failed: {exc}; partial dump in {exc.partial_dir}", file=sys.stderr)
+        return ASSERT_FAIL if args.assert_ else 1
     print(f"run complete: {out_dir}")
     print(f"steps={traj.meta['steps']} runtime={traj.meta['runtime_s']:.2f}s "
           f"clipped_mass={traj.clipped_mass:.3e}")

@@ -11,7 +11,8 @@ ever silently overwritten with different content:
         final_state.csv    last snapshot as text (coordinates, n, p, c)
         monitors.csv       per-snapshot monitor rows (t, dt, then one column each)
         summary.json       accumulated monitors plus run metadata
-        timing.json        wall-clock runtime, step count, smallest and largest dt
+        timing.json        wall-clock runtime, step count, smallest and largest dt,
+                           steps cut short by a snapshot mark, 1D front rule
 
 No timestamps are written anywhere, and the wall-clock runtime goes to
 timing.json alone: repeated identical invocations produce bitwise-identical
@@ -98,13 +99,17 @@ def write_monitor_csv(path, report: MonitorReport) -> None:
 
 def write_timing(path, traj: Trajectory) -> None:
     """Wall-clock runtime and step statistics: the one file of a run that
-    differs between identical invocations."""
+    differs between identical invocations.  steps_at_marks counts the steps
+    a snapshot mark cut short; the others took the full step of the rule,
+    whose front Courant number (1D only, else null) is front_courant."""
     dts = traj.dts
     timing = {
         "runtime_s": float(traj.meta.get("runtime_s", 0.0)),
         "steps": len(dts),
         "dt_min": float(dts.min()) if len(dts) else None,
         "dt_max": float(dts.max()) if len(dts) else None,
+        "steps_at_marks": traj.meta.get("steps_at_marks"),
+        "front_courant": traj.meta.get("front_courant"),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(timing, fh, indent=1, sort_keys=True)

@@ -1,23 +1,34 @@
 """Time integration of the coupled density/pressure/nutrient system.
 
-The density update is an explicit conservative finite-volume step: face flux
-F = -n_face * dp/h with arithmetic-mean face mobility, so with reactions off
-the scheme is a consistent discretization of the porous-medium form
-dn/dt = kappa * Lap(n^(gamma+1)), kappa = gamma/(gamma+1).  The nutrient is
-advanced by backward-Euler diffusion with explicit reactions (IMEX), solved
-in the deviation variable c - c_B so the implicit matrix is symmetric
-positive definite.  Both dimensions solve it directly: a tridiagonal LAPACK
-solve in 1D, a diagonal solve in the DST-II basis in 2D.
+The density update is a conservative finite-volume step for
+dn/dt = div(n grad p) + n G, p = n^gamma; with reactions off it is a
+consistent discretization of the porous-medium form
+dn/dt = kappa * Lap(n^(gamma+1)), kappa = gamma/(gamma+1).  The scheme
+follows the grid's dimension:
 
-Stability is CFL-controlled through the degenerate diffusivity gamma * n^gamma,
-which caps dt at safety * h^2 / (2d * gamma * max(p)); a separate reaction cap
-dt <= safety / |G|_inf covers the zero-density case.  Steps land exactly on
-the snapshot marks so repeated runs and gamma sweeps share identical output
-times.
+- 1D, linearly implicit: the face mobility D_f = mean(n) * s_f is frozen at
+  the old state, with s_f the secant (p_hi - p_lo)/(n_hi - n_lo) (the
+  tangent gamma p/n where the two cells agree, 0 where n = 0), and each step
+  solves (I - dt div D_f grad) n_new = n (1 + dt G) with LAPACK's
+  tridiagonal gtsv.  At n_new = n its flux is the explicit flux.  With
+  s_f >= 0 and zero mobility on the wall faces the matrix is an M-matrix
+  with unit column sums, so for every dt the new density is nonnegative,
+  no larger than the largest value of the right-hand side, and the mass
+  changes by exactly dt * sum(n G) h.  The step is an accuracy choice: dt
+  is bounded by FRONT_COURANT * h^2 / max_f |dp|, so the Darcy front moves
+  at most FRONT_COURANT of a cell per step.
+- 2D, explicit: face flux F = -mean(n) * dp/h, stable under the CFL bound
+  dt <= safety * h^2 / (2d * gamma * max(p)).  It guarantees no bound, so
+  densities are clipped to [0, n_H] and the clipped mass is accounted per
+  run; violations are observable instead of silent.
 
-The scheme is not provably bound-preserving with arithmetic-mean mobility, so
-densities are clipped to [0, n_H] and the clipped mass is accounted per run;
-violations are observable instead of silent.
+Both dimensions also cap dt <= safety / |G|_inf for the reactions.  The
+nutrient is advanced by backward-Euler diffusion with explicit reactions
+(IMEX), solved in the deviation variable c - c_B so the implicit matrix is
+symmetric positive definite.  Both dimensions solve it directly: a
+tridiagonal LAPACK solve in 1D, a diagonal solve in the DST-II basis in 2D.
+Steps land exactly on the snapshot marks so repeated runs and gamma sweeps
+share identical output times.
 """
 
 from __future__ import annotations
@@ -59,13 +70,19 @@ __all__ = [
 # into the accounting
 NEG_TOL = 1e-10
 STATE_TOL = 1e-8
+# 1D step rule: the Darcy front moves at most this fraction of a cell per
+# step.  The time error of the accumulated monitors is first order in it.
+FRONT_COURANT = 0.005
 
 
 class SolverError(RuntimeError):
     """Fatal integration failure with cell-level diagnostics.  Raised out of
-    run(), it carries the trajectory cut to the snapshots reached."""
+    run(), it carries the trajectory cut to the snapshots reached; out of
+    limit.run_once, also the directory of the partial dump, if one was
+    written."""
 
     trajectory = None
+    partial_dir = None
 
 
 @dataclass
@@ -255,21 +272,30 @@ def initial_report(g: Grid, p0: np.ndarray) -> dict:
 
 def cfl_dt(state: State, params: model.ModelParams, spec: model.ReactionSpec,
            safety: float = 0.4, *, G: np.ndarray | None = None) -> float:
-    """Stable explicit step: safety * h^2 / (2d * gamma * max p), with the
-    reaction cap safety / |G|_inf; governed by the cap alone when n = 0.
+    """Step size of the density scheme, capped by the reactions at
+    safety / |G|_inf.  In 1D the front rule FRONT_COURANT * h^2 / max_f |dp|
+    of the implicit step; in 2D the stable explicit step
+    safety * h^2 / (2d * gamma * max p).  With no pressure difference (1D) or
+    no pressure (2D) the cap alone governs, and with no reactions either the
+    result is inf: the caller bounds the step.
 
     G, when given, is spec.G(state.p, state.c), already evaluated for this step.
     """
     if not 0.0 < safety <= 1.0:
         raise ValueError("safety in (0, 1] required")
-    p_max = float(state.p.max())
+    p = state.p
+    p_max = float(p.max())
     if not math.isfinite(p_max):
-        k = int(np.argmax(~np.isfinite(state.p)))
-        idx = np.unravel_index(k, state.p.shape)
+        k = int(np.argmax(~np.isfinite(p)))
+        idx = np.unravel_index(k, p.shape)
         raise SolverError(f"non-finite pressure at cell {idx} (t={state.t})")
     g = state.grid
     dt = math.inf
-    if p_max > 0.0:
+    if g.dim == 1:
+        dp_max = float(np.abs(p[1:] - p[:-1]).max())
+        if dp_max > 0.0:
+            dt = FRONT_COURANT * g.h * g.h / dp_max
+    elif p_max > 0.0:
         dt = safety * g.h * g.h / (2.0 * g.dim * params.gamma * p_max)
     if G is None:
         G = spec.G(state.p, state.c)
@@ -334,23 +360,89 @@ def _flux_divergence(n: np.ndarray, p: np.ndarray, h: float,
     return div
 
 
+class _ImplicitDensity:
+    """The 1D linearly implicit density solve, with its face and diagonal
+    arrays allocated once per run.  r holds dt * D_f / h^2 on every face;
+    its two wall entries stay 0."""
+
+    def __init__(self, g: Grid):
+        m = g.n - 1
+        self.h = g.h
+        self._gtsv, = get_lapack_funcs(("gtsv",), (np.zeros(1),))
+        self.dn, self.dp, self.tan = np.empty(m), np.empty(m), np.empty(m)
+        self.flat = np.empty(m, dtype=bool)
+        self.r = np.zeros(g.n + 1)
+        self.mobility = self.r[1:-1]
+        self.lower, self.diag, self.upper = np.empty(m), np.empty(g.n), np.empty(m)
+
+    def face_mobility(self, n: np.ndarray, p: np.ndarray, gamma: float) -> np.ndarray:
+        """D_f = mean(n) * max(s_f, 0) on the interior faces, written into
+        self.mobility: s_f is the secant dp/dn, or the tangent gamma p/n
+        where the two cells agree (0 where they are empty)."""
+        dn, dp, tan, flat = self.dn, self.dp, self.tan, self.flat
+        np.subtract(n[1:], n[:-1], out=dn)
+        np.subtract(p[1:], p[:-1], out=dp)
+        np.equal(dn, 0.0, out=flat)
+        np.multiply(p[:-1], gamma, out=tan)
+        np.copyto(dp, tan, where=flat)
+        np.copyto(dn, n[:-1], where=flat)
+        np.equal(dn, 0.0, out=flat)
+        np.copyto(dn, 1.0, where=flat)
+        D = self.mobility
+        np.divide(dp, dn, out=D)
+        np.maximum(D, 0.0, out=D)
+        np.add(n[1:], n[:-1], out=dn)
+        dn *= 0.5
+        D *= dn
+        return D
+
+    def solve(self, n: np.ndarray, p: np.ndarray, G: np.ndarray, dt: float,
+              gamma: float) -> np.ndarray:
+        """n_new of (I - dt div D_f grad) n_new = n + dt n G, a new array."""
+        r = self.face_mobility(n, p, gamma)
+        r *= dt / (self.h * self.h)
+        lower, diag, upper = self.lower, self.diag, self.upper
+        np.negative(r, out=lower)
+        np.copyto(upper, lower)
+        np.add(self.r[:-1], self.r[1:], out=diag)
+        diag += 1.0
+        rhs = n * G
+        rhs *= dt
+        rhs += n
+        _, _, _, out, info = self._gtsv(lower, diag, upper, rhs, 1, 1, 1, 1)
+        if info != 0:
+            raise SolverError(f"tridiagonal density solve failed (gtsv info {info})")
+        return out
+
+
+def _density_buffers(g: Grid):
+    """Scratch space of the density scheme of this grid (see the module doc)."""
+    return _ImplicitDensity(g) if g.dim == 1 else _FluxBuffers(g)
+
+
 def step_density(state: State, dt: float, params: model.ModelParams,
                  spec: model.ReactionSpec, *, G: np.ndarray | None = None,
-                 _buffers: _FluxBuffers | None = None) -> tuple:
-    """One conservative explicit update of n (and p); returns (n, p, clipped_mass).
+                 _buffers=None) -> tuple:
+    """One conservative update of n (and p), linearly implicit in 1D and
+    explicit in 2D; returns (n, p, clipped_mass).
 
     G, when given, is spec.G(state.p, state.c), already evaluated for this
-    step.  The arrays of `state` are left untouched; n and p are new arrays.
+    step.  _buffers, when given, is _density_buffers(state.grid).  The arrays
+    of `state` are left untouched; n and p are new arrays.
     """
     g = state.grid
     n = state.n
     if G is None:
         G = spec.G(state.p, state.c)
-    div = _flux_divergence(n, state.p, g.h, _buffers or _FluxBuffers(g))
-    n_new = n * G
-    n_new -= div
-    n_new *= dt
-    n_new += n
+    buf = _buffers or _density_buffers(g)
+    if g.dim == 1:
+        n_new = buf.solve(n, state.p, G, dt, params.gamma)
+    else:
+        div = _flux_divergence(n, state.p, g.h, buf)
+        n_new = n * G
+        n_new -= div
+        n_new *= dt
+        n_new += n
     worst = float(n_new.min())
     if not math.isfinite(worst) or worst < -NEG_TOL:
         k = int(np.argmin(n_new))
@@ -502,10 +594,11 @@ def _initial_state(setup: RunSetup) -> State:
     return State(setup.grid, 0.0, n, model.pressure_from_density(n, params.gamma), c)
 
 
-def _step(state: State, t_stop: float, setup: RunSetup, buffers: _FluxBuffers,
+def _step(state: State, t_stop: float, setup: RunSetup, buffers,
           nut: _NutrientSolver) -> tuple:
     """One checked step that ends at t_stop at the latest, landing on it
-    exactly; returns (new state, dt, clipped mass).
+    exactly; returns (new state, dt, clipped mass, whether t_stop cut the
+    step short).
 
     The three stages are looked up in the module namespace at every call, so
     wrappers installed on solver.cfl_dt / step_density / step_nutrient see
@@ -514,13 +607,16 @@ def _step(state: State, t_stop: float, setup: RunSetup, buffers: _FluxBuffers,
     params, spec = setup.params, setup.spec
     t = state.t
     G = spec.G(state.p, state.c)
-    dt = min(cfl_dt(state, params, spec, setup.cfl_safety, G=G), t_stop - t)
+    dt = cfl_dt(state, params, spec, setup.cfl_safety, G=G)
+    at_mark = t_stop - t < dt
+    if at_mark:
+        dt = t_stop - t
     n, p, clipped = step_density(state, dt, params, spec, G=G, _buffers=buffers)
     c = step_nutrient(state, dt, params, spec, _solver=nut)
     t = t_stop if t_stop - (t + dt) < 1e-14 else t + dt
     state = State(state.grid, t, n, p, c)
     _check_state(state, params)
-    return state, dt, clipped
+    return state, dt, clipped, at_mark
 
 
 def run(setup: RunSetup) -> Trajectory:
@@ -543,17 +639,19 @@ def run(setup: RunSetup) -> Trajectory:
                       meta={**setup.meta, **initial_report(g, state.p)})
     traj.n[0], traj.p[0], traj.c[0] = state.n, state.p, state.c
 
-    buffers, nut = _FluxBuffers(g), _NutrientSolver(g)
+    buffers, nut = _density_buffers(g), _NutrientSolver(g)
     dts = []
     clipped_total = 0.0
+    at_marks = 0
     done = 1
     wall0 = _time.perf_counter()
     try:
         for k, mark in enumerate(marks.tolist()[1:], start=1):
             last_dt = 0.0
             while state.t < mark - 1e-14:
-                state, last_dt, clipped = _step(state, mark, setup, buffers, nut)
+                state, last_dt, clipped, at_mark = _step(state, mark, setup, buffers, nut)
                 clipped_total += clipped
+                at_marks += at_mark
                 dts.append(last_dt)
             traj.n[k], traj.p[k], traj.c[k] = state.n, state.p, state.c
             traj.snap_dts[k] = last_dt
@@ -568,18 +666,22 @@ def run(setup: RunSetup) -> Trajectory:
         traj.clipped_mass = clipped_total
         traj.meta["runtime_s"] = _time.perf_counter() - wall0
         traj.meta["steps"] = len(dts)
+        traj.meta["steps_at_marks"] = at_marks
+        traj.meta["front_courant"] = FRONT_COURANT if g.dim == 1 else None
     return traj
 
 
 def iterate_states(setup: RunSetup, max_steps: int):
     """Yield the initial state, then the state after each of max_steps steps
     of the kernel run() uses, with no snapshot marks to land on (for
-    fine-grained invariant tests)."""
+    fine-grained invariant tests).  As in run(), no step is longer than
+    setup.snapshot_dt: a uniform state with reactions off gives the step
+    rule no finite bound."""
     state = _initial_state(setup)
-    buffers, nut = _FluxBuffers(setup.grid), _NutrientSolver(setup.grid)
+    buffers, nut = _density_buffers(setup.grid), _NutrientSolver(setup.grid)
     yield state
     for _ in range(max_steps):
-        state, _, _ = _step(state, math.inf, setup, buffers, nut)
+        state = _step(state, state.t + setup.snapshot_dt, setup, buffers, nut)[0]
         yield state
 
 

@@ -71,10 +71,22 @@ def test_unknown_section_rejected():
 
 
 def test_cadence_rule_rejected_with_pointer():
+    # the rule applies where the explicit CFL bound sets the step: 2D
     coarse = MINIMAL.replace("snapshot_dt = 2e-3", "snapshot_dt = 3e-2")
+    coarse = coarse.replace("dimension = 1", "dimension = 2")
     too_coarse = coarse.replace("horizon = 0.06", "horizon = 0.06")
     with pytest.raises(ConfigError, match="cadence"):
         parse_config_text(too_coarse, env={})
+
+
+def test_standard_config_runs_at_gamma_160(tmp_path, monkeypatch):
+    # 1D has no cadence rule: the implicit step is not bounded by the CFL dt
+    cfg = parse_config_text(STANDARD_CFG.read_text(encoding="utf-8"),
+                            env={"TUMORHS_MODEL__GAMMA": "160"})
+    assert cfg.get("model", "gamma") == 160.0
+    monkeypatch.setenv("TUMORHS_MODEL__GAMMA", "160")
+    assert cli.main(["run", "--config", str(STANDARD_CFG), "--out", str(tmp_path),
+                     "--assert"]) == 0
 
 
 def test_box_too_small_for_barrier():
@@ -227,8 +239,47 @@ def test_repeated_runs_bitwise_identical(tmp_path):
         if name != "timing.json":               # wall-clock runtime lives here
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
     timing = json.loads((a / "timing.json").read_text())
-    assert set(timing) == {"runtime_s", "steps", "dt_min", "dt_max"}
+    assert set(timing) == {"runtime_s", "steps", "dt_min", "dt_max", "steps_at_marks",
+                           "front_courant"}
     assert 0.0 < timing["dt_min"] <= timing["dt_max"]
+    assert 0 < timing["steps_at_marks"] <= timing["steps"]
+    assert timing["front_courant"] == solver.FRONT_COURANT
+
+
+WALL_REACHING = """
+[model]
+gamma = 4
+p_h = 4
+[reactions]
+family = off
+[grid]
+box_half_width = 1.0
+cells = 64
+[initial]
+builder = barenblatt
+barenblatt_mass = 1.5
+barenblatt_t0 = 0.05
+[time]
+horizon = 0.5
+snapshot_dt = 0.01
+[monitors]
+selection = direct
+"""
+
+
+@pytest.mark.parametrize("flags, code", [(["--assert"], cli.ASSERT_FAIL), ([], 1)])
+def test_run_failure_is_one_line_and_an_exit_code(tmp_path, capsys, flags, code):
+    # the Barenblatt support reaches the wall at t = 0.054
+    cfg_path = tmp_path / "wall.cfg"
+    cfg_path.write_text(WALL_REACHING, encoding="utf-8")
+    out = tmp_path / "runs"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out), *flags]) == code
+    err, = capsys.readouterr().err.splitlines()
+    run_dir, = out.iterdir()
+    assert err.startswith("run failed: support reached the box boundary at t=0.05")
+    assert err.endswith(f"; partial dump in {run_dir}")
+    assert sorted(p.name for p in run_dir.iterdir()) == ["fields.partial.bin",
+                                                          "partial.json"]
 
 
 def test_report_aggregates_and_refuses_mixed_versions(tmp_path):

@@ -36,13 +36,14 @@ def constant_G(value, params):
 # ---------------------------------------------------------------------------
 
 def test_cfl_formula_value():
-    # h=0.01, gamma=50, max n^gamma = 1, d=1, safety=0.4 -> 4e-7
+    # the explicit bound sets the 2D step:
+    # h=0.01, gamma=50, max n^gamma = 1, d=2, safety=0.4 -> 2e-7
     params = model.ModelParams(gamma=50.0)
     spec = solver.reactions_off(params)
-    g = Grid.symmetric(1, 0.5, 100)      # h = 0.01
+    g = Grid.symmetric(2, 0.5, 100)      # h = 0.01
     n = np.full(g.shape, 1.0)
     st_ = make_state(g, params, n)
-    assert cfl_dt(st_, params, spec, safety=0.4) == pytest.approx(4e-7, rel=1e-12)
+    assert cfl_dt(st_, params, spec, safety=0.4) == pytest.approx(2e-7, rel=1e-12)
 
 
 def test_cfl_zero_density_reaction_cap_alone():
@@ -55,7 +56,7 @@ def test_cfl_zero_density_reaction_cap_alone():
 
 
 def test_cfl_halves_when_gamma_doubles():
-    g = Grid.symmetric(1, 1.0, 64)
+    g = Grid.symmetric(2, 1.0, 64)
     n = np.full(g.shape, 1.0)
     dts = []
     for gamma in (25.0, 50.0):
@@ -122,14 +123,57 @@ def test_clipping_is_accounted():
 
 
 def test_negative_update_aborts_with_cell():
+    # the explicit 2D step; the 1D step is implicit and keeps n >= 0
     params = model.ModelParams(gamma=2.0)
     spec = solver.reactions_off(params)
-    g = Grid.symmetric(1, 1.0, 64)
+    g = Grid.symmetric(2, 1.0, 64)
     n = np.full(g.shape, 1e-6)
-    n[g.n // 2] = 0.8
+    n[g.n // 2, g.n // 2] = 0.8
     st_ = make_state(g, params, n)
     with pytest.raises(SolverError, match="cell"):
         step_density(st_, 1.0, params, spec)   # wildly violates the CFL bound
+
+
+def test_implicit_step_keeps_density_nonnegative_at_any_dt():
+    # the state above, with reactions, in 1D: the M-matrix keeps n >= 0
+    params = model.ModelParams(gamma=2.0)
+    spec = model.default_reactions(params)
+    g = Grid.symmetric(1, 1.0, 64)
+    n = np.full(g.shape, 1e-6)
+    n[g.n // 2] = 0.8
+    n_new, p_new, clipped = step_density(make_state(g, params, n), 1.0, params, spec)
+    assert np.all(n_new >= 0.0) and np.all(np.isfinite(n_new))
+    assert np.all(n_new <= params.n_H) and clipped == 0.0
+
+
+def test_implicit_step_mass_changes_by_the_source_alone():
+    params = model.ModelParams(gamma=20.0)
+    spec = model.default_reactions(params)
+    g = Grid.symmetric(1, 2.0, 96)
+    n0, _ = solver.initial_plateau(g, params, theta=0.5, radius=0.6, edge=0.25)
+    st_ = make_state(g, params, n0)
+    G = spec.G(st_.p, st_.c)
+    for dt in (1e-4, 1e-3, 1e-2):   # up to 300x the explicit CFL bound
+        n_new, _, clipped = step_density(st_, dt, params, spec)
+        assert clipped == 0.0
+        expected = float(np.sum(n0 * (1.0 + dt * G))) * g.h
+        assert float(np.sum(n_new)) * g.h == pytest.approx(expected, rel=1e-13)
+
+
+def test_implicit_flux_at_the_old_state_is_the_explicit_flux():
+    # plateau, slopes and empty cells: secant, tangent and zero faces
+    params = model.ModelParams(gamma=30.0)
+    g = Grid.symmetric(1, 2.0, 96)
+    n, p = solver.initial_plateau(g, params, theta=0.6, radius=0.8, edge=0.3)
+    assert np.any((np.diff(n) == 0.0) & (n[1:] > 0.0))
+    D = solver._ImplicitDensity(g).face_mobility(n, p, params.gamma).copy()
+    assert np.all(D >= 0.0)
+    flux = np.concatenate([[0.0], -D * np.diff(n) / g.h, [0.0]])
+    div_implicit = np.diff(flux) / g.h
+    div_explicit = solver._flux_divergence(n, p, g.h, solver._FluxBuffers(g))
+    scale = float(np.abs(div_explicit).max())
+    assert scale > 0.0
+    assert np.max(np.abs(div_implicit - div_explicit)) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +490,20 @@ def test_finite_propagation_one_cell_layer_per_step():
         prev = mask
 
 
+def test_iterate_states_takes_no_infinite_step():
+    # a uniform state with reactions off gives the step rule no finite bound;
+    # the empty state is the uniform one that stays inside the box
+    params = model.ModelParams(gamma=10.0)
+    spec = solver.reactions_off(params)
+    g = Grid.symmetric(1, 1.0, 32)
+    for value in (0.5, 0.0):
+        assert cfl_dt(make_state(g, params, np.full(g.shape, value)), params, spec) == math.inf
+    setup = RunSetup(grid=g, params=params, spec=spec, n0=np.zeros(g.shape),
+                     c0=solver.nutrient_uniform(g, params), T=0.01, snapshot_dt=0.002)
+    times = [s.t for s in solver.iterate_states(setup, max_steps=5)]
+    assert times == pytest.approx([0.0, 0.002, 0.004, 0.006, 0.008, 0.01], abs=1e-15)
+
+
 def test_run_calls_each_stage_once_per_step_through_the_module(monkeypatch):
     # wrappers on the module attributes see every step (benchmark tracers rely
     # on this), and no stage writes into the arrays of its input state or
@@ -482,7 +540,7 @@ def test_run_calls_each_stage_once_per_step_through_the_module(monkeypatch):
 
 def test_step_counts_pinned():
     # the step sequence is part of the bitwise-reproducible output
-    assert run(small_setup()).meta["steps"] == 590
+    assert run(small_setup()).meta["steps"] == 349
     params = model.ModelParams(gamma=6.0)
     g = Grid.symmetric(2, 1.5, 24)
     n0, _ = solver.initial_plateau(g, params, theta=0.5, radius=0.6, edge=0.25)
@@ -490,6 +548,13 @@ def test_step_counts_pinned():
                      n0=n0, c0=solver.nutrient_uniform(g, params), T=0.02,
                      snapshot_dt=0.005)
     assert run(setup).meta["steps"] == 35
+
+
+def test_standard_step_counts_pinned_and_flat_in_gamma(standard_sweep):
+    # the 1D step rule follows the Darcy front, not gamma / h^2
+    steps = {g: standard_sweep[g][0].meta["steps"] for g in (10.0, 80.0)}
+    assert steps == {10.0: 4905, 80.0: 4487}
+    assert abs(steps[10.0] - steps[80.0]) < 0.15 * min(steps.values())
 
 
 def test_nutrient_zero_rhs_skips_the_solve():
