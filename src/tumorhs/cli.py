@@ -68,7 +68,9 @@ def cmd_run(args) -> int:
     try:
         traj, report, setup, out_dir = limit.run_once(cfg, out_root=out_root)
     except solver.SolverError as exc:
-        print(f"run failed: {exc}; partial dump in {exc.partial_dir}", file=sys.stderr)
+        dump = (f"partial dump in {exc.partial_dir}" if exc.partial_dir is not None
+                else f"no partial dump could be written: {exc.partial_error}")
+        print(f"run failed: {exc}; {dump}", file=sys.stderr)
         return ASSERT_FAIL if args.assert_ else 1
     print(f"run complete: {out_dir}")
     print(f"steps={traj.meta['steps']} runtime={traj.meta['runtime_s']:.2f}s "

@@ -172,8 +172,9 @@ def run_once(cfg, gamma: float | None = None, out_root=None) -> tuple:
     With out_root the run directory out_root/<config hash>[-g<gamma>] is
     written, and a run that fails with a SolverError leaves the snapshots it
     reached there as a partial dump, whose directory is the error's
-    partial_dir.  Returns (trajectory, monitor report, setup, run directory
-    or None).
+    partial_dir; when the dump itself fails, partial_dir stays None and the
+    OSError is the error's partial_error.  Returns (trajectory, monitor
+    report, setup, run directory or None).
     """
     out_dir = echo = None
     if out_root is not None:
@@ -185,8 +186,11 @@ def run_once(cfg, gamma: float | None = None, out_root=None) -> tuple:
         traj = solver.run(setup)
     except solver.SolverError as exc:
         if out_dir is not None:
-            runio.flush_partial(out_dir, exc.trajectory)
-            exc.partial_dir = out_dir
+            try:
+                runio.flush_partial(out_dir, exc.trajectory)
+                exc.partial_dir = out_dir
+            except OSError as dump_error:
+                exc.partial_error = dump_error
         raise
     weight = monitors.build_weight(setup.grid) if weight_on else None
     report = monitors.compute_report(traj, setup.spec, zeta=zeta, weight=weight)

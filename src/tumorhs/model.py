@@ -136,12 +136,12 @@ def pressure_from_density(n, gamma: float) -> np.ndarray:
     return _pressure(n, gamma)
 
 
-def _pressure(n: np.ndarray, gamma: float) -> np.ndarray:
-    """p = exp(gamma * log n), with p = 0 where n = 0.  n >= 0 is the caller's
-    guarantee: pressure_from_density checks it, the solver's density step
-    ensures it."""
+def _pressure(n: np.ndarray, gamma: float, out: np.ndarray | None = None) -> np.ndarray:
+    """p = exp(gamma * log n), with p = 0 where n = 0, written into out when
+    given, which must hold zeros.  n >= 0 is the caller's guarantee:
+    pressure_from_density checks it, the solver's density step ensures it."""
     pos = n > 0.0
-    p = np.zeros(n.shape)
+    p = np.zeros(n.shape) if out is None else out
     np.log(n, out=p, where=pos)
     p *= gamma
     np.exp(p, out=p, where=pos)

@@ -12,7 +12,8 @@ ever silently overwritten with different content:
         monitors.csv       per-snapshot monitor rows (t, dt, then one column each)
         summary.json       accumulated monitors plus run metadata
         timing.json        wall-clock runtime, step count, smallest and largest dt,
-                           steps cut short by a snapshot mark, 1D front rule
+                           steps cut short by a snapshot mark, 1D front rule,
+                           largest nutrient solve residual, mean 2D density box
 
 No timestamps are written anywhere, and the wall-clock runtime goes to
 timing.json alone: repeated identical invocations produce bitwise-identical
@@ -101,7 +102,10 @@ def write_timing(path, traj: Trajectory) -> None:
     """Wall-clock runtime and step statistics: the one file of a run that
     differs between identical invocations.  steps_at_marks counts the steps
     a snapshot mark cut short; the others took the full step of the rule,
-    whose front Courant number (1D only, else null) is front_courant."""
+    whose front Courant number (1D only, else null) is front_courant.
+    nutrient_residual_max is the largest relative residual of the run's
+    nutrient solves, and density_window_mean the mean fraction of the cells
+    the 2D density step worked on (2D only, else null)."""
     dts = traj.dts
     timing = {
         "runtime_s": float(traj.meta.get("runtime_s", 0.0)),
@@ -110,6 +114,8 @@ def write_timing(path, traj: Trajectory) -> None:
         "dt_max": float(dts.max()) if len(dts) else None,
         "steps_at_marks": traj.meta.get("steps_at_marks"),
         "front_courant": traj.meta.get("front_courant"),
+        "nutrient_residual_max": traj.meta.get("nutrient_residual_max"),
+        "density_window_mean": traj.meta.get("density_window_mean"),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(timing, fh, indent=1, sort_keys=True)
@@ -152,18 +158,26 @@ def write_run(out_dir, config_text: str, traj: Trajectory,
 
 
 def flush_partial(out_dir, traj: Trajectory) -> None:
-    """Best-effort dump of an aborted run, whose trajectory (the .trajectory
-    of its SolverError) holds the snapshots it reached."""
+    """Dump an aborted run, whose trajectory (the .trajectory of its
+    SolverError) holds the snapshots it reached, as fields.partial.bin and
+    partial.json.  On an OSError neither file is left behind and the error
+    propagates."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    files = (out_dir / "fields.partial.bin", out_dir / "partial.json")
     try:
-        write_fields_binary(out_dir / "fields.partial.bin", traj)
-        with open(out_dir / "partial.json", "w", encoding="utf-8") as fh:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_fields_binary(files[0], traj)
+        with open(files[1], "w", encoding="utf-8") as fh:
             json.dump({"version": __version__, "snapshots": len(traj),
                        "times": [float(t) for t in traj.times],
                        "note": "aborted run; snapshots up to the failure"}, fh)
     except OSError:
-        pass
+        for path in files:
+            try:
+                path.unlink(missing_ok=True)
+            except OSError:
+                pass
+        raise
 
 
 def load_summary(run_dir) -> dict:

@@ -20,7 +20,16 @@ follows the grid's dimension:
 - 2D, explicit: face flux F = -mean(n) * dp/h, stable under the CFL bound
   dt <= safety * h^2 / (2d * gamma * max(p)).  It guarantees no bound, so
   densities are clipped to [0, n_H] and the clipped mass is accounted per
-  run; violations are observable instead of silent.
+  run; violations are observable instead of silent.  The density has
+  compact support, so the step works on a box alone: the bounding box of
+  n != 0, grown by one cell and clamped to the grid.  The fluxes, the update
+  and p = n^gamma are computed there, and n and p are 0 outside it.  This
+  is the whole-grid step bit for bit: the box's outer ring and every cell
+  beyond it are empty, so every face on or outside the box's edge has
+  mobility 0 and a flux of +-0.  Taking it as a wall (+0) can change only
+  the sign of a zero in the divergence of a ring cell, and adding that
+  cell's n = +0 at the end of the update removes it (x + (+0) is +0 for
+  either zero x; the initial data and the step hold no -0).
 
 Both dimensions also cap dt <= safety / |G|_inf for the reactions.  The
 nutrient is advanced by backward-Euler diffusion with explicit reactions
@@ -79,10 +88,11 @@ class SolverError(RuntimeError):
     """Fatal integration failure with cell-level diagnostics.  Raised out of
     run(), it carries the trajectory cut to the snapshots reached; out of
     limit.run_once, also the directory of the partial dump, if one was
-    written."""
+    written, or the OSError that kept it from being written."""
 
     trajectory = None
     partial_dir = None
+    partial_error = None
 
 
 @dataclass
@@ -317,47 +327,66 @@ def _sl(ax: int, start, stop, ndim: int):
     return tuple(sl)
 
 
-class _FluxBuffers:
-    """Face-flux scratch arrays for one grid, allocated once per run.
-
-    The odd ghost layer (ghost = -interior) gives each wall face the mobility
-    0.5 * (-n + n) = 0, so the wall faces of every flux array stay at zero and
-    only the interior faces are written.
-    """
-
-    def __init__(self, g: Grid):
-        self.axes = []
-        for ax in range(g.dim):
-            shape = list(g.shape)
-            shape[ax] += 1
-            flux = np.zeros(shape)
-            inner = flux[_sl(ax, 1, -1, g.dim)]
-            self.axes.append((_sl(ax, None, -1, g.dim), _sl(ax, 1, None, g.dim),
-                              flux, inner, np.empty(inner.shape)))
-        self.div = np.empty(g.shape)
-        self.term = np.empty(g.shape)
-
-
-def _flux_divergence(n: np.ndarray, p: np.ndarray, h: float,
-                     buf: _FluxBuffers) -> np.ndarray:
-    """div F with face flux F = -mean(n) * dp/h, written into buf.div; the
-    wall faces carry no flux, so the interior flux sum telescopes."""
+def _flux_divergence(n: np.ndarray, p: np.ndarray, h: float) -> np.ndarray:
+    """div F with face flux F = -mean(n) * dp/h on the interior faces of the
+    arrays and none through their edge faces (so the flux sum telescopes), a
+    new array."""
     div = None
-    for lo, hi, flux, inner, dp in buf.axes:
+    for ax in range(n.ndim):
+        lo, hi = _sl(ax, None, -1, n.ndim), _sl(ax, 1, None, n.ndim)
+        shape = list(n.shape)
+        shape[ax] += 1
+        flux = np.zeros(shape)
+        inner = flux[_sl(ax, 1, -1, n.ndim)]
         np.add(n[lo], n[hi], out=inner)
         inner *= 0.5
-        np.subtract(p[hi], p[lo], out=dp)
+        dp = p[hi] - p[lo]
         dp /= h
         inner *= dp
         np.negative(inner, out=inner)
-        out = buf.div if div is None else buf.term
-        np.subtract(flux[hi], flux[lo], out=out)
-        out /= h
+        term = flux[hi] - flux[lo]
+        term /= h
         if div is None:
-            div = out
+            div = term
         else:
-            div += out
+            div += term
     return div
+
+
+def _support_box(n: np.ndarray) -> tuple:
+    """Slices of the bounding box of the cells with n != 0, grown by one cell
+    and clamped to the grid (2D); both empty when n vanishes everywhere."""
+    rows = np.flatnonzero(n.any(axis=1))
+    if rows.size == 0:
+        return slice(0, 0), slice(0, 0)
+    r0, r1 = max(int(rows[0]) - 1, 0), min(int(rows[-1]) + 2, n.shape[0])
+    cols = np.flatnonzero(n[r0:r1].any(axis=0))
+    return (slice(r0, r1),
+            slice(max(int(cols[0]) - 1, 0), min(int(cols[-1]) + 2, n.shape[1])))
+
+
+class _ExplicitDensity:
+    """The 2D explicit density update, made on the support's box alone (see
+    the module doc).  cells sums the cells of every box over the run."""
+
+    def __init__(self, g: Grid):
+        self.h = g.h
+        self.cells = 0
+
+    def advance(self, n: np.ndarray, p: np.ndarray, G: np.ndarray, dt: float,
+                gamma: float) -> tuple:
+        """(n_new, box): n_new = n + dt (n G - div F), a new array that is 0
+        outside box, a tuple of slices."""
+        box = _support_box(n)
+        nb = n[box]
+        n_new = np.zeros(n.shape)
+        out = n_new[box]
+        np.multiply(nb, G[box], out=out)
+        out -= _flux_divergence(nb, p[box], self.h)
+        out *= dt
+        out += nb
+        self.cells += out.size
+        return n_new, box
 
 
 class _ImplicitDensity:
@@ -396,9 +425,10 @@ class _ImplicitDensity:
         D *= dn
         return D
 
-    def solve(self, n: np.ndarray, p: np.ndarray, G: np.ndarray, dt: float,
-              gamma: float) -> np.ndarray:
-        """n_new of (I - dt div D_f grad) n_new = n + dt n G, a new array."""
+    def advance(self, n: np.ndarray, p: np.ndarray, G: np.ndarray, dt: float,
+                gamma: float) -> tuple:
+        """(n_new, box): n_new of (I - dt div D_f grad) n_new = n + dt n G, a
+        new array, and the box of the whole grid, an Ellipsis."""
         r = self.face_mobility(n, p, gamma)
         r *= dt / (self.h * self.h)
         lower, diag, upper = self.lower, self.diag, self.upper
@@ -412,12 +442,12 @@ class _ImplicitDensity:
         _, _, _, out, info = self._gtsv(lower, diag, upper, rhs, 1, 1, 1, 1)
         if info != 0:
             raise SolverError(f"tridiagonal density solve failed (gtsv info {info})")
-        return out
+        return out, ...
 
 
 def _density_buffers(g: Grid):
     """Scratch space of the density scheme of this grid (see the module doc)."""
-    return _ImplicitDensity(g) if g.dim == 1 else _FluxBuffers(g)
+    return _ImplicitDensity(g) if g.dim == 1 else _ExplicitDensity(g)
 
 
 def step_density(state: State, dt: float, params: model.ModelParams,
@@ -431,19 +461,13 @@ def step_density(state: State, dt: float, params: model.ModelParams,
     of `state` are left untouched; n and p are new arrays.
     """
     g = state.grid
-    n = state.n
     if G is None:
         G = spec.G(state.p, state.c)
     buf = _buffers or _density_buffers(g)
-    if g.dim == 1:
-        n_new = buf.solve(n, state.p, G, dt, params.gamma)
-    else:
-        div = _flux_divergence(n, state.p, g.h, buf)
-        n_new = n * G
-        n_new -= div
-        n_new *= dt
-        n_new += n
-    worst = float(n_new.min())
+    n_new, box = buf.advance(state.n, state.p, G, dt, params.gamma)
+    nb = n_new[box]
+    # n_new is 0 outside the box; initial=0.0 also covers an empty box
+    worst = float(nb.min(initial=0.0))
     if not math.isfinite(worst) or worst < -NEG_TOL:
         k = int(np.argmin(n_new))
         idx = np.unravel_index(k, n_new.shape)
@@ -451,14 +475,17 @@ def step_density(state: State, dt: float, params: model.ModelParams,
             f"density update out of range at cell {idx}: n={worst:.3e} (t={state.t})")
     n_H = params.n_H
     clipped = 0.0
-    # inside [0, n_H] the clip is the identity and the clipped mass exactly 0
-    if worst < 0.0 or float(n_new.max()) > n_H:
+    # inside [0, n_H] the clip is the identity and the clipped mass exactly 0;
+    # the sums run over the whole grid so their bits do not depend on the box
+    if worst < 0.0 or float(nb.max(initial=0.0)) > n_H:
         clipped = float(np.sum(np.maximum(-n_new, 0.0))
                         + np.sum(np.maximum(n_new - n_H, 0.0))) * g.cell_volume
         np.clip(n_new, 0.0, n_H, out=n_new)
     # the NEG_TOL abort and the clip above make n_new >= 0, which is all the
     # pressure law's negative-density guard would check
-    return n_new, model._pressure(n_new, params.gamma), clipped
+    p_new = np.zeros(g.shape)
+    model._pressure(nb, params.gamma, out=p_new[box])
+    return n_new, p_new, clipped
 
 
 class _NutrientSolver:
@@ -470,13 +497,17 @@ class _NutrientSolver:
     diagonal, with eigenvalues lam_i + lam_j, lam_k = -4/h^2 sin^2(pi k/2N)
     for k = 1..N.  At a few hundred cells one gtsv call is about half the
     cost of one 1D DST, hence the split by dimension.  Every solve is
-    verified to relative residual <= 1e-10 with the 2d+1-point stencil.
+    verified to relative residual <= 1e-10 with the 2d+1-point stencil;
+    residual_max is the largest relative residual of the solver's solves.
+    The scratch arrays of the solve and of the check are allocated once.
     """
 
     residual_tol = 1e-10
 
     def __init__(self, g: Grid):
         self.grid = g
+        self.residual_max = 0.0
+        self._Au, self._scratch = np.empty(g.shape), np.empty(g.shape)
         d = g.dim
         # residual stencil per axis: neighbour slices, and the first and last
         # cell layers, whose odd ghost folds one more +r into the diagonal
@@ -496,9 +527,11 @@ class _NutrientSolver:
             k = np.arange(1, g.n + 1)
             lam = -4.0 / (g.h * g.h) * np.sin(0.5 * math.pi * k / g.n) ** 2
             self._lam = lam[:, None] + lam[None, :]
+            self._denom = np.empty(g.shape)
 
     def solve(self, rhs: np.ndarray, dt: float) -> np.ndarray:
-        scale = float(np.abs(rhs).max())
+        """u of (I - dt*Lap) u = rhs, a new array."""
+        scale = float(np.abs(rhs, out=self._scratch).max())
         if scale == 0.0:
             # the exact solution, and what gtsv and the DST return for a zero rhs
             return np.zeros_like(rhs)
@@ -515,25 +548,29 @@ class _NutrientSolver:
                 raise SolverError(f"tridiagonal nutrient solve failed (gtsv info {info})")
         else:
             coef = self._dstn(rhs, type=2, norm="ortho")
-            denom = self._lam * -dt
+            denom = np.multiply(self._lam, -dt, out=self._denom)
             denom += 1.0
             coef /= denom
             out = self._idstn(coef, type=2, norm="ortho", overwrite_x=True)
         resid = self._residual(out, rhs, r)
-        if resid > self.residual_tol * scale:
+        # written so that a NaN residual fails too
+        if not resid <= self.residual_tol * scale:
             raise SolverError(
                 f"nutrient solve residual {resid / scale:.2e} above "
                 f"{self.residual_tol:.0e}")
+        self.residual_max = max(self.residual_max, resid / scale)
         return out
 
     def _residual(self, u, rhs, r):
         """max |(I - dt*Lap) u - rhs|, with r = dt/h^2."""
-        Au = (1.0 + 2.0 * u.ndim * r) * u
+        Au, ru = self._Au, self._scratch
+        np.multiply(u, 1.0 + 2.0 * u.ndim * r, out=Au)
+        np.multiply(u, r, out=ru)
         for lo, hi, first, last in self._axes:
-            Au[first] += r * u[first]
-            Au[last] += r * u[last]
-            Au[hi] -= r * u[lo]
-            Au[lo] -= r * u[hi]
+            Au[first] += ru[first]
+            Au[last] += ru[last]
+            Au[hi] -= ru[lo]
+            Au[lo] -= ru[hi]
         Au -= rhs
         return float(np.abs(Au, out=Au).max())
 
@@ -545,11 +582,17 @@ def step_nutrient(state: State, dt: float, params: model.ModelParams,
     if dt <= 0.0:
         raise ValueError("dt > 0 required")
     solver = _solver or _NutrientSolver(state.grid)
-    u = state.c - params.c_B
-    reaction = dt * (-state.n * spec.H(state.c)
-                     + (params.c_B - state.c) * spec.K(state.p))
-    u += reaction
-    return params.c_B + solver.solve(u, dt)
+    c_B = params.c_B
+    u = state.c - c_B
+    # dt * (-n H(c) + (c_B - c) K(p)), bit for bit, in one array
+    b = c_B - state.c
+    b *= spec.K(state.p)
+    b -= state.n * spec.H(state.c)
+    b *= dt
+    u += b
+    out = solver.solve(u, dt)
+    out += c_B
+    return out
 
 
 def _check_state(state: State, params: model.ModelParams) -> None:
@@ -668,6 +711,9 @@ def run(setup: RunSetup) -> Trajectory:
         traj.meta["steps"] = len(dts)
         traj.meta["steps_at_marks"] = at_marks
         traj.meta["front_courant"] = FRONT_COURANT if g.dim == 1 else None
+        traj.meta["nutrient_residual_max"] = nut.residual_max
+        traj.meta["density_window_mean"] = (
+            buffers.cells / (len(dts) * math.prod(g.shape)) if g.dim == 2 and dts else None)
     return traj
 
 

@@ -240,10 +240,13 @@ def test_repeated_runs_bitwise_identical(tmp_path):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
     timing = json.loads((a / "timing.json").read_text())
     assert set(timing) == {"runtime_s", "steps", "dt_min", "dt_max", "steps_at_marks",
-                           "front_courant"}
+                           "front_courant", "nutrient_residual_max",
+                           "density_window_mean"}
     assert 0.0 < timing["dt_min"] <= timing["dt_max"]
     assert 0 < timing["steps_at_marks"] <= timing["steps"]
     assert timing["front_courant"] == solver.FRONT_COURANT
+    assert 0.0 <= timing["nutrient_residual_max"] <= 1e-10
+    assert timing["density_window_mean"] is None         # 1D works on every cell
 
 
 WALL_REACHING = """
@@ -280,6 +283,27 @@ def test_run_failure_is_one_line_and_an_exit_code(tmp_path, capsys, flags, code)
     assert err.endswith(f"; partial dump in {run_dir}")
     assert sorted(p.name for p in run_dir.iterdir()) == ["fields.partial.bin",
                                                           "partial.json"]
+
+
+def test_failed_partial_dump_is_reported_and_leaves_no_file(tmp_path, capsys,
+                                                            monkeypatch):
+    def full_disk(path, traj):
+        with open(path, "wb") as fh:
+            fh.write(bytes(8))              # a truncated first block
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(runio, "write_fields_binary", full_disk)
+    cfg_path = tmp_path / "wall.cfg"
+    cfg_path.write_text(WALL_REACHING, encoding="utf-8")
+    out = tmp_path / "runs"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out),
+                     "--assert"]) == cli.ASSERT_FAIL
+    err, = capsys.readouterr().err.splitlines()
+    assert err.startswith("run failed: support reached the box boundary at t=0.05")
+    assert err.endswith("; no partial dump could be written: "
+                        "[Errno 28] No space left on device")
+    run_dir, = out.iterdir()
+    assert list(run_dir.iterdir()) == []
 
 
 def test_report_aggregates_and_refuses_mixed_versions(tmp_path):

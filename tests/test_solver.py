@@ -170,10 +170,123 @@ def test_implicit_flux_at_the_old_state_is_the_explicit_flux():
     assert np.all(D >= 0.0)
     flux = np.concatenate([[0.0], -D * np.diff(n) / g.h, [0.0]])
     div_implicit = np.diff(flux) / g.h
-    div_explicit = solver._flux_divergence(n, p, g.h, solver._FluxBuffers(g))
+    div_explicit = solver._flux_divergence(n, p, g.h)
     scale = float(np.abs(div_explicit).max())
     assert scale > 0.0
     assert np.max(np.abs(div_implicit - div_explicit)) <= 1e-12 * scale
+
+
+def whole_grid_density_step(state, dt, params, spec):
+    """Reference for the 2D density step: the explicit update of every cell
+    of the grid, then the clip with its accounting and the pressure law."""
+    n, p, h = state.n, state.p, state.grid.h
+    G = spec.G(p, state.c)
+    fx = np.zeros((n.shape[0] + 1, n.shape[1]))
+    fy = np.zeros((n.shape[0], n.shape[1] + 1))
+    fx[1:-1] = -((0.5 * (n[:-1] + n[1:])) * ((p[1:] - p[:-1]) / h))
+    fy[:, 1:-1] = -((0.5 * (n[:, :-1] + n[:, 1:])) * ((p[:, 1:] - p[:, :-1]) / h))
+    div = (fx[1:] - fx[:-1]) / h + (fy[:, 1:] - fy[:, :-1]) / h
+    n_new = (n * G - div) * dt + n
+    clipped = float(np.sum(np.maximum(-n_new, 0.0))
+                    + np.sum(np.maximum(n_new - params.n_H, 0.0))) * state.grid.cell_volume
+    n_new = np.clip(n_new, 0.0, params.n_H)
+    return n_new, model.pressure_from_density(n_new, params.gamma), clipped
+
+
+def assert_same_step(result, reference):
+    assert result[0].tobytes() == reference[0].tobytes()
+    assert result[1].tobytes() == reference[1].tobytes()
+    assert result[2] == reference[2]
+
+
+def blobs(g, height, *discs):
+    """Sum of bumps height (1 - |x - centre|^2 / r^2)^2, each zero outside
+    its disc (centre_x, centre_y, r)."""
+    x, y = g.coords
+    n = np.zeros(g.shape)
+    for cx, cy, r in discs:
+        n += height * np.maximum(1.0 - ((x - cx) ** 2 + (y - cy) ** 2) / r ** 2, 0.0) ** 2
+    return n
+
+
+@pytest.mark.parametrize("case", ["centred", "corner", "two blobs", "one cell", "empty",
+                                  "clipped"])
+def test_box_density_step_is_the_whole_grid_step(case):
+    params = model.ModelParams(gamma=6.0)
+    spec = model.default_reactions(params)
+    g = Grid.symmetric(2, 1.5, 32)
+    if case == "centred":
+        n = blobs(g, 0.8, (0.05, -0.1, 0.6))
+    elif case == "corner":      # the support touches two walls: the box is clamped
+        n = blobs(g, 0.8, (-1.45, 1.45, 0.5))
+    elif case == "two blobs":
+        n = blobs(g, 0.8, (-0.7, -0.6, 0.35), (0.8, 0.5, 0.3))
+    elif case == "one cell":
+        n = np.zeros(g.shape)
+        n[9, 20] = 0.6
+    elif case == "empty":
+        n = np.zeros(g.shape)
+    else:                       # growth pushes the plateau above n_H
+        n, _ = solver.initial_plateau(g, params, theta=0.999, radius=0.8, edge=0.3,
+                                      height="density")
+        spec = constant_G(10.0, params)
+    state = make_state(g, params, n, c=solver.nutrient_deficit(g, params, 0.5, 1.0))
+    rows, cols = solver._support_box(n)
+    box = n[rows, cols]
+    if case == "empty":
+        assert box.size == 0
+    else:
+        assert 0 < box.size < n.size and np.count_nonzero(box) == np.count_nonzero(n)
+    if case == "one cell":
+        assert (rows, cols) == (slice(8, 11), slice(19, 22))
+    if case == "corner":
+        assert rows.start == 0 and cols.stop == g.n
+    for dt in (cfl_dt(state, params, spec), 1e-5):
+        result = step_density(state, dt, params, spec)
+        assert_same_step(result, whole_grid_density_step(state, dt, params, spec))
+        assert (result[2] > 0.0) == (case == "clipped" and dt > 1e-5)
+
+
+def test_box_density_step_along_a_2d_run(monkeypatch):
+    params = model.ModelParams(gamma=6.0)
+    spec = model.default_reactions(params)
+    g = Grid.symmetric(2, 1.5, 32)
+    n0, _ = solver.initial_plateau(g, params, theta=0.5, radius=0.6, edge=0.25)
+    setup = RunSetup(grid=g, params=params, spec=spec, n0=n0,
+                     c0=solver.nutrient_deficit(g, params, 0.5, 1.0), T=1.0,
+                     snapshot_dt=0.01)
+    step = solver.step_density
+    boxes = []
+
+    def checked(state, dt, params, spec, **kwargs):
+        result = step(state, dt, params, spec, **kwargs)
+        assert_same_step(result, whole_grid_density_step(state, dt, params, spec))
+        rows, cols = solver._support_box(state.n)
+        boxes.append((rows.stop - rows.start) * (cols.stop - cols.start))
+        return result
+
+    monkeypatch.setattr(solver, "step_density", checked)
+    for state in solver.iterate_states(setup, max_steps=200):
+        # outside the box p is set to 0, which the pressure law gives every empty cell
+        assert np.all(state.p[state.n == 0.0] == 0.0)
+    assert len(boxes) == 200
+    assert boxes[0] < boxes[-1] < g.n * g.n      # the support grew, and so did the box
+
+
+def test_run_reports_the_box_and_the_nutrient_residual():
+    traj = run(small_setup(T=0.01))
+    assert traj.meta["density_window_mean"] is None
+    assert 0.0 < traj.meta["nutrient_residual_max"] <= 1e-10
+    params = model.ModelParams(gamma=6.0)
+    g = Grid.symmetric(2, 1.5, 24)
+    n0, _ = solver.initial_plateau(g, params, theta=0.5, radius=0.6, edge=0.25)
+    traj = run(RunSetup(grid=g, params=params, spec=model.default_reactions(params),
+                        n0=n0, c0=solver.nutrient_uniform(g, params), T=0.02,
+                        snapshot_dt=0.005))
+    box0 = solver._support_box(n0)
+    first = (box0[0].stop - box0[0].start) * (box0[1].stop - box0[1].start) / n0.size
+    assert first <= traj.meta["density_window_mean"] < 1.0
+    assert 0.0 < traj.meta["nutrient_residual_max"] <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +407,33 @@ def test_nutrient_residual_check_catches_a_wrong_solution(dim):
         nut._idstn = lambda *a, **k: corrupt(idstn(*a, **k))
     with pytest.raises(SolverError, match="residual"):
         nut.solve(rhs, 1e-3)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_nutrient_residual_check_catches_nan(dim):
+    g = Grid.symmetric(dim, 1.0, 24)
+    rhs = np.random.default_rng(dim).uniform(-1.0, 1.0, g.shape)
+    rhs.flat[5] = np.nan
+    nut = solver._NutrientSolver(g)
+    with pytest.raises(SolverError, match="residual nan"):
+        nut.solve(rhs, 1e-3)
+    assert nut.residual_max == 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_nutrient_step_is_the_plain_expression_bit_for_bit(dim):
+    params = model.ModelParams(gamma=8.0)
+    spec = model.default_reactions(params)
+    g = Grid.symmetric(dim, 1.0, 24)
+    rng = np.random.default_rng(10 + dim)
+    n = rng.uniform(0.0, 1.0, g.shape) * (rng.uniform(size=g.shape) < 0.6)
+    assert np.any(n == 0.0)
+    state = make_state(g, params, n, c=rng.uniform(0.2, 1.0, g.shape) * params.c_B)
+    c, c_B = state.c, params.c_B
+    for dt in (1e-4, 1e-2):
+        reaction = dt * (-state.n * spec.H(c) + (c_B - c) * spec.K(state.p))
+        expected = c_B + solver._NutrientSolver(g).solve(c - c_B + reaction, dt)
+        assert step_nutrient(state, dt, params, spec).tobytes() == expected.tobytes()
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6),
