@@ -111,9 +111,6 @@ _SCHEMA = {
     },
 }
 
-CADENCE_FACTOR = 1e3  # 2D snapshot spacing must not exceed this multiple of the CFL dt
-
-
 @dataclass
 class ExperimentConfig:
     values: dict            # section -> key -> parsed value
@@ -236,19 +233,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         errors.append((None, "cfl_safety must lie in (0, 1]"))
 
     L = v["grid"]["box_half_width"]
-    # cadence rule where the explicit CFL bound sets the step, i.e. in 2D:
-    # snapshot spacing <= CADENCE_FACTOR * (worst-case CFL dt), the worst
-    # case evaluated at the pressure bound p_H.  The 1D step is implicit and
-    # has no such bound.
-    if d == 2 and T > 0:
-        h = 2.0 * L / max(v["grid"]["cells"], 1)
-        gam_max = max([params.gamma, *v["sweep"]["gammas"]])
-        dt_est = v["time"]["cfl_safety"] * h * h / (2.0 * d * gam_max * params.p_H)
-        if snap > CADENCE_FACTOR * dt_est:
-            errors.append((None,
-                           f"snapshot_dt {snap:g} exceeds {CADENCE_FACTOR:g} x the CFL "
-                           f"estimate {dt_est:g}; time-derivative monitors need a finer "
-                           f"cadence"))
 
     ini = v["initial"]
     if ini["builder"] not in ("plateau", "prerelaxed", "barenblatt", "file"):
@@ -378,7 +362,7 @@ def build_setup(cfg: ExperimentConfig, gamma_override: float | None = None):
     tv = cfg.values["time"]
     setup = solver.RunSetup(grid=g, params=params, spec=spec, n0=n0, c0=c0,
                             T=tv["horizon"], snapshot_dt=tv["snapshot_dt"],
-                            cfl_safety=tv["cfl_safety"], meta={"gamma": params.gamma})
+                            cfl_safety=tv["cfl_safety"])
     extras = cfg.values["monitors"]["selection"] == "all"
     zeta = None
     if extras and tv["horizon"] > 0:

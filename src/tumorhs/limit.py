@@ -67,13 +67,6 @@ class PositivitySet:
     def interior(self) -> np.ndarray:
         return self.mask & ~self.boundary_layer
 
-    def measure(self) -> float:
-        return float(np.sum(self.mask)) * self.grid.cell_volume
-
-    def symmetric_difference(self, other_mask: np.ndarray) -> float:
-        """|O symdiff other| in grid measure (reported, never asserted)."""
-        return float(np.sum(self.mask ^ other_mask)) * self.grid.cell_volume
-
 
 def _masked_dirichlet_laplacian(g: Grid, mask: np.ndarray) -> csr_matrix:
     """Laplacian on the masked cells with the value 0 at every face leading

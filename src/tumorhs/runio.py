@@ -102,7 +102,7 @@ def write_timing(path, traj: Trajectory) -> None:
     """Wall-clock runtime and step statistics: the one file of a run that
     differs between identical invocations.  steps_at_marks counts the steps
     a snapshot mark cut short; the others took the full step of the rule,
-    whose front Courant number (1D only, else null) is front_courant.
+    whose front Courant number is front_courant.
     nutrient_residual_max is the largest relative residual of the run's
     nutrient solves, and density_window_mean the mean fraction of the cells
     the 2D density step worked on (2D only, else null)."""

@@ -3,41 +3,48 @@
 The density update is a conservative finite-volume step for
 dn/dt = div(n grad p) + n G, p = n^gamma; with reactions off it is a
 consistent discretization of the porous-medium form
-dn/dt = kappa * Lap(n^(gamma+1)), kappa = gamma/(gamma+1).  The scheme
-follows the grid's dimension:
+dn/dt = kappa * Lap(n^(gamma+1)), kappa = gamma/(gamma+1).  One linearly
+implicit scheme serves both dimensions:
 
-- 1D, linearly implicit: the face mobility D_f = mean(n) * s_f is frozen at
-  the old state, with s_f the secant (p_hi - p_lo)/(n_hi - n_lo) (the
-  tangent gamma p/n where the two cells agree, 0 where n = 0), and each step
-  solves (I - dt div D_f grad) n_new = n (1 + dt G) with LAPACK's
-  tridiagonal gtsv.  At n_new = n its flux is the explicit flux.  With
-  s_f >= 0 and zero mobility on the wall faces the matrix is an M-matrix
-  with unit column sums, so for every dt the new density is nonnegative,
-  no larger than the largest value of the right-hand side, and the mass
-  changes by exactly dt * sum(n G) h.  The step is an accuracy choice: dt
-  is bounded by FRONT_COURANT * h^2 / max_f |dp|, so the Darcy front moves
-  at most FRONT_COURANT of a cell per step.
-- 2D, explicit: face flux F = -mean(n) * dp/h, stable under the CFL bound
-  dt <= safety * h^2 / (2d * gamma * max(p)).  It guarantees no bound, so
-  densities are clipped to [0, n_H] and the clipped mass is accounted per
-  run; violations are observable instead of silent.  The density has
-  compact support, so the step works on a box alone: the bounding box of
-  n != 0, grown by one cell and clamped to the grid.  The fluxes, the update
-  and p = n^gamma are computed there, and n and p are 0 outside it.  This
-  is the whole-grid step bit for bit: the box's outer ring and every cell
-  beyond it are empty, so every face on or outside the box's edge has
-  mobility 0 and a flux of +-0.  Taking it as a wall (+0) can change only
-  the sign of a zero in the divergence of a ring cell, and adding that
-  cell's n = +0 at the end of the update removes it (x + (+0) is +0 for
-  either zero x; the initial data and the step hold no -0).
+- The face mobility D_f = mean(n) * s_f is frozen at the old state, with s_f
+  the secant (p_hi - p_lo)/(n_hi - n_lo) (the tangent gamma p/n where the
+  two cells agree, 0 where n = 0).  At n_new = n the face flux -D_f dn/h is
+  the explicit flux -mean(n) dp/h.
+- A sweep along one axis solves (I - dt A) x = b, with A = div D_f grad
+  along that axis, for every line of cells at once: the lines are
+  concatenated into one tridiagonal system with zero coupling at the line
+  ends and solved with LAPACK's gtsv.  With s_f >= 0 and zero mobility on
+  the wall faces the matrix is a symmetric M-matrix with unit column sums,
+  so for every dt x is nonnegative, no larger than max b, and sums to sum b.
+- 1D is one sweep: n_new = X^-1 n (1 + dt G).
+- 2D splits by axis and averages the two orders (symmetrically weighted
+  sequential splitting): n_new = (Y^-1 X^-1 + X^-1 Y^-1) n (1 + dt G) / 2.
+  Either order alone favours its first axis and breaks the transpose
+  symmetry of radial data; the average keeps it exactly.  Elimination runs
+  one way along each line, so a gtsv solve is not mirror-symmetric in
+  floating point: each 2D sweep therefore averages its solve with the solve
+  of the reversed system, reversed back, which makes it exactly equivariant
+  under reflections.  Averages keep the properties of the sweeps, so n stays
+  >= 0 for every dt and the mass changes by dt * sum(n G) h^d.
+- 2D works on a box alone: the bounding box of n != 0, grown by one cell and
+  clamped to the grid; n and p are 0 outside it.  This is the whole-grid
+  step bit for bit: the box's outer ring is empty, so every face on or
+  outside the box's edge has mobility 0 and every cell outside it a
+  right-hand side of +0.  In the elimination such a face adds a +0 term,
+  which changes no bit of a nonnegative value that is not -0, and the
+  initial data and the step hold no -0.
 
-Both dimensions also cap dt <= safety / |G|_inf for the reactions.  The
-nutrient is advanced by backward-Euler diffusion with explicit reactions
-(IMEX), solved in the deviation variable c - c_B so the implicit matrix is
-symmetric positive definite.  Both dimensions solve it directly: a
-tridiagonal LAPACK solve in 1D, a diagonal solve in the DST-II basis in 2D.
-Steps land exactly on the snapshot marks so repeated runs and gamma sweeps
-share identical output times.
+The step is an accuracy choice: dt is bounded by
+FRONT_COURANT * h^2 / max_f |dp| over the faces of every axis, so the Darcy
+front moves at most FRONT_COURANT of a cell per step, and by safety / |G|_inf
+for the reactions.  Growth can push densities above n_H; they are clipped
+and the clipped mass is accounted per run.  The nutrient is advanced by
+backward-Euler diffusion with explicit reactions (IMEX), solved in the
+deviation variable c - c_B so the implicit matrix is symmetric positive
+definite.  Both dimensions solve it directly: a tridiagonal LAPACK solve in
+1D, a diagonal solve in the DST-II basis in 2D.  Steps land exactly on the
+snapshot marks so repeated runs and gamma sweeps share identical output
+times.
 """
 
 from __future__ import annotations
@@ -53,8 +60,7 @@ from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import cg as sparse_cg  # noqa: F401
 
 from . import model
-from .grid import (DIRICHLET_ZERO, Grid, gradient_array, laplacian_array,
-                   integral_array)
+from .grid import Grid, integral_array
 
 __all__ = [
     "State",
@@ -79,8 +85,8 @@ __all__ = [
 # into the accounting
 NEG_TOL = 1e-10
 STATE_TOL = 1e-8
-# 1D step rule: the Darcy front moves at most this fraction of a cell per
-# step.  The time error of the accumulated monitors is first order in it.
+# step rule: the Darcy front moves at most this fraction of a cell per step.
+# The time error of the accumulated monitors is first order in it.
 FRONT_COURANT = 0.005
 
 
@@ -140,7 +146,6 @@ class RunSetup:
     T: float
     snapshot_dt: float
     cfl_safety: float = 0.4
-    meta: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +241,15 @@ def _warmup_pressure(g: Grid, prep_params: model.ModelParams, c_star, custom_spe
     return p0
 
 
+def _require_finite(a: np.ndarray, what: str) -> None:
+    """ValueError naming `what` and the first cell where a is not finite:
+    the bound checks of the initial data compare, and a NaN passes them."""
+    bad = ~np.isfinite(a)
+    if bad.any():
+        idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), a.shape))
+        raise ValueError(f"{what} is not finite at cell {idx}")
+
+
 def initial_from_csv(g: Grid, params: model.ModelParams, path) -> tuple:
     """Density from a CSV file with one header line, then one row per cell in
     C order of the grid: the cell-centre coordinates, then the density in the
@@ -243,6 +257,7 @@ def initial_from_csv(g: Grid, params: model.ModelParams, path) -> tuple:
     delimiter=",", header="x0,value", comments="") writes such a file."""
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     n0 = data[:, -1].reshape(g.shape)
+    _require_finite(n0, f"file density n0 ({path})")
     if np.any(n0 < 0.0) or np.any(n0 > params.n_H + 1e-12):
         raise ValueError("file density violates 0 <= n0 <= n_H")
     return n0, model.pressure_from_density(np.maximum(n0, 0.0), params.gamma)
@@ -265,29 +280,17 @@ def nutrient_deficit(g: Grid, params: model.ModelParams, depth: float,
     return params.c_B * (1.0 - depth * bump)
 
 
-def initial_report(g: Grid, p0: np.ndarray) -> dict:
-    """Discrete norms of the initial pressure demanded well-prepared data."""
-    grads = gradient_array(p0, g.h, DIRICHLET_ZERO)
-    lap = laplacian_array(p0, g.h, DIRICHLET_ZERO)
-    hd = g.cell_volume
-    return {
-        "grad_p0_l2": math.sqrt(float(np.sum(sum(gc * gc for gc in grads))) * hd),
-        "lap_p0_l2": math.sqrt(float(np.sum(lap * lap)) * hd),
-    }
-
-
 # ---------------------------------------------------------------------------
 # time step control
 # ---------------------------------------------------------------------------
 
 def cfl_dt(state: State, params: model.ModelParams, spec: model.ReactionSpec,
            safety: float = 0.4, *, G: np.ndarray | None = None) -> float:
-    """Step size of the density scheme, capped by the reactions at
-    safety / |G|_inf.  In 1D the front rule FRONT_COURANT * h^2 / max_f |dp|
-    of the implicit step; in 2D the stable explicit step
-    safety * h^2 / (2d * gamma * max p).  With no pressure difference (1D) or
-    no pressure (2D) the cap alone governs, and with no reactions either the
-    result is inf: the caller bounds the step.
+    """Step size of the density scheme: the front rule
+    FRONT_COURANT * h^2 / max_f |dp| over the faces of every axis, capped by
+    the reactions at safety / |G|_inf.  With no pressure difference the cap
+    alone governs, and with no reactions either the result is inf: the
+    caller bounds the step.
 
     G, when given, is spec.G(state.p, state.c), already evaluated for this step.
     """
@@ -297,16 +300,15 @@ def cfl_dt(state: State, params: model.ModelParams, spec: model.ReactionSpec,
     p_max = float(p.max())
     if not math.isfinite(p_max):
         k = int(np.argmax(~np.isfinite(p)))
-        idx = np.unravel_index(k, p.shape)
+        idx = tuple(int(i) for i in np.unravel_index(k, p.shape))
         raise SolverError(f"non-finite pressure at cell {idx} (t={state.t})")
     g = state.grid
     dt = math.inf
-    if g.dim == 1:
-        dp_max = float(np.abs(p[1:] - p[:-1]).max())
-        if dp_max > 0.0:
-            dt = FRONT_COURANT * g.h * g.h / dp_max
-    elif p_max > 0.0:
-        dt = safety * g.h * g.h / (2.0 * g.dim * params.gamma * p_max)
+    dp_max = float(np.abs(p[1:] - p[:-1]).max())
+    if p.ndim == 2:
+        dp_max = max(dp_max, float(np.abs(p[:, 1:] - p[:, :-1]).max()))
+    if dp_max > 0.0:
+        dt = FRONT_COURANT * g.h * g.h / dp_max
     if G is None:
         G = spec.G(state.p, state.c)
     g_max = float(np.abs(G).max())
@@ -327,32 +329,6 @@ def _sl(ax: int, start, stop, ndim: int):
     return tuple(sl)
 
 
-def _flux_divergence(n: np.ndarray, p: np.ndarray, h: float) -> np.ndarray:
-    """div F with face flux F = -mean(n) * dp/h on the interior faces of the
-    arrays and none through their edge faces (so the flux sum telescopes), a
-    new array."""
-    div = None
-    for ax in range(n.ndim):
-        lo, hi = _sl(ax, None, -1, n.ndim), _sl(ax, 1, None, n.ndim)
-        shape = list(n.shape)
-        shape[ax] += 1
-        flux = np.zeros(shape)
-        inner = flux[_sl(ax, 1, -1, n.ndim)]
-        np.add(n[lo], n[hi], out=inner)
-        inner *= 0.5
-        dp = p[hi] - p[lo]
-        dp /= h
-        inner *= dp
-        np.negative(inner, out=inner)
-        term = flux[hi] - flux[lo]
-        term /= h
-        if div is None:
-            div = term
-        else:
-            div += term
-    return div
-
-
 def _support_box(n: np.ndarray) -> tuple:
     """Slices of the bounding box of the cells with n != 0, grown by one cell
     and clamped to the grid (2D); both empty when n vanishes everywhere."""
@@ -365,50 +341,44 @@ def _support_box(n: np.ndarray) -> tuple:
             slice(max(int(cols[0]) - 1, 0), min(int(cols[-1]) + 2, n.shape[1])))
 
 
-class _ExplicitDensity:
-    """The 2D explicit density update, made on the support's box alone (see
-    the module doc).  cells sums the cells of every box over the run."""
+class _ImplicitDensity:
+    """The linearly implicit density step (see the module doc).  A sweep
+    works on L lines of m cells, concatenated in one vector of M = L m
+    cells; its mobility array holds the M + 1 faces, face k between cells
+    k - 1 and k, and is 0 on every wall face k = i m.  The scratch arrays are
+    sized for the grid and allocated once per run, and a sweep uses a prefix
+    of each.  cells sums the cells of every 2D box over the run."""
 
     def __init__(self, g: Grid):
+        size = g.n ** g.dim
         self.h = g.h
         self.cells = 0
-
-    def advance(self, n: np.ndarray, p: np.ndarray, G: np.ndarray, dt: float,
-                gamma: float) -> tuple:
-        """(n_new, box): n_new = n + dt (n G - div F), a new array that is 0
-        outside box, a tuple of slices."""
-        box = _support_box(n)
-        nb = n[box]
-        n_new = np.zeros(n.shape)
-        out = n_new[box]
-        np.multiply(nb, G[box], out=out)
-        out -= _flux_divergence(nb, p[box], self.h)
-        out *= dt
-        out += nb
-        self.cells += out.size
-        return n_new, box
-
-
-class _ImplicitDensity:
-    """The 1D linearly implicit density solve, with its face and diagonal
-    arrays allocated once per run.  r holds dt * D_f / h^2 on every face;
-    its two wall entries stay 0."""
-
-    def __init__(self, g: Grid):
-        m = g.n - 1
-        self.h = g.h
         self._gtsv, = get_lapack_funcs(("gtsv",), (np.zeros(1),))
-        self.dn, self.dp, self.tan = np.empty(m), np.empty(m), np.empty(m)
-        self.flat = np.empty(m, dtype=bool)
-        self.r = np.zeros(g.n + 1)
-        self.mobility = self.r[1:-1]
-        self.lower, self.diag, self.upper = np.empty(m), np.empty(g.n), np.empty(m)
+        self._dn, self._dp, self._tan = np.empty(size - 1), np.empty(size - 1), np.empty(size - 1)
+        self._flat = np.empty(size - 1, dtype=bool)
+        # the mobility of each sweep axis, then dt / h^2 times it
+        self._mobility = [np.empty(size + 1) for _ in range(g.dim)]
+        self._lower, self._diag, self._upper = np.empty(size - 1), np.empty(size), np.empty(size - 1)
+        self._prefixes = {}
 
-    def face_mobility(self, n: np.ndarray, p: np.ndarray, gamma: float) -> np.ndarray:
-        """D_f = mean(n) * max(s_f, 0) on the interior faces, written into
-        self.mobility: s_f is the secant dp/dn, or the tangent gamma p/n
-        where the two cells agree (0 where they are empty)."""
-        dn, dp, tan, flat = self.dn, self.dp, self.tan, self.flat
+    def _scratch(self, M: int) -> tuple:
+        """((dn, dp, tan, flat), (lower, diag, upper)): the prefixes of the
+        scratch arrays that a sweep over M cells uses, sliced once per M."""
+        views = self._prefixes.get(M)
+        if views is None:
+            k = M - 1
+            views = self._prefixes[M] = (
+                (self._dn[:k], self._dp[:k], self._tan[:k], self._flat[:k]),
+                (self._lower[:k], self._diag[:M], self._upper[:k]))
+        return views
+
+    def face_mobility(self, n: np.ndarray, p: np.ndarray, gamma: float, m: int,
+                      out: np.ndarray) -> np.ndarray:
+        """The mobility D_f = mean(n) * max(s_f, 0) of the concatenated lines
+        of m cells n, p (flat arrays), written into out and returned as its
+        first n.size + 1 entries: s_f is the secant dp/dn, or the tangent
+        gamma p/n where the two cells agree (0 where they are empty)."""
+        dn, dp, tan, flat = self._scratch(n.size)[0]
         np.subtract(n[1:], n[:-1], out=dn)
         np.subtract(p[1:], p[:-1], out=dp)
         np.equal(dn, 0.0, out=flat)
@@ -417,60 +387,99 @@ class _ImplicitDensity:
         np.copyto(dn, n[:-1], where=flat)
         np.equal(dn, 0.0, out=flat)
         np.copyto(dn, 1.0, where=flat)
-        D = self.mobility
+        out = out[:n.size + 1]
+        D = out[1:-1]
         np.divide(dp, dn, out=D)
         np.maximum(D, 0.0, out=D)
         np.add(n[1:], n[:-1], out=dn)
         dn *= 0.5
         D *= dn
-        return D
+        # the wall faces, the faces joining two lines among them
+        out[::m] = 0.0
+        return out
+
+    def _solve(self, r: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """x of the concatenated line system (I - dt A) x = b, with r the
+        scaled mobility dt D_f / h^2 of its faces; b may be overwritten."""
+        lower, diag, upper = self._scratch(b.size)[1]
+        np.negative(r[1:-1], out=lower)
+        np.copyto(upper, lower)
+        np.add(r[:-1], r[1:], out=diag)
+        diag += 1.0
+        _, _, _, x, info = self._gtsv(lower, diag, upper, b, 1, 1, 1, 1)
+        if info != 0:
+            raise SolverError(f"tridiagonal density solve failed (gtsv info {info})")
+        return x
+
+    def _sweep(self, r: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """x of the concatenated line system (I - dt A) x = b averaged with
+        the solve of the reversed system, reversed back: exactly equivariant
+        under reversal.  b is overwritten."""
+        back = self._solve(r[::-1], b[::-1])[::-1]
+        x = self._solve(r, b)
+        x += back
+        x *= 0.5
+        return x
 
     def advance(self, n: np.ndarray, p: np.ndarray, G: np.ndarray, dt: float,
                 gamma: float) -> tuple:
-        """(n_new, box): n_new of (I - dt div D_f grad) n_new = n + dt n G, a
-        new array, and the box of the whole grid, an Ellipsis."""
-        r = self.face_mobility(n, p, gamma)
-        r *= dt / (self.h * self.h)
-        lower, diag, upper = self.lower, self.diag, self.upper
-        np.negative(r, out=lower)
-        np.copyto(upper, lower)
-        np.add(self.r[:-1], self.r[1:], out=diag)
-        diag += 1.0
-        rhs = n * G
+        """(n_new, box): n_new of the step from n with rates G, a new array
+        that is 0 outside box, an Ellipsis in 1D and a tuple of slices in 2D."""
+        scale = dt / (self.h * self.h)
+        if n.ndim == 1:
+            # one solve, not mirror-averaged: no symmetry needs it in 1D
+            r = self.face_mobility(n, p, gamma, n.size, self._mobility[0])
+            r *= scale
+            rhs = n * G
+            rhs *= dt
+            rhs += n
+            return self._solve(r, rhs), ...
+        box = _support_box(n)
+        n_new = np.zeros(n.shape)
+        nb, pb = n[box], p[box]
+        if nb.size == 0:
+            return n_new, box
+        self.cells += nb.size
+        L0, L1 = nb.shape
+        # x sweeps run along axis 0, on the transposed block
+        rx = self.face_mobility(nb.T.ravel(), pb.T.ravel(), gamma, L0, self._mobility[0])
+        ry = self.face_mobility(nb.ravel(), pb.ravel(), gamma, L1, self._mobility[1])
+        rx *= scale
+        ry *= scale
+        rhs = nb * G[box]
         rhs *= dt
-        rhs += n
-        _, _, _, out, info = self._gtsv(lower, diag, upper, rhs, 1, 1, 1, 1)
-        if info != 0:
-            raise SolverError(f"tridiagonal density solve failed (gtsv info {info})")
-        return out, ...
-
-
-def _density_buffers(g: Grid):
-    """Scratch space of the density scheme of this grid (see the module doc)."""
-    return _ImplicitDensity(g) if g.dim == 1 else _ExplicitDensity(g)
+        rhs += nb
+        xy = self._sweep(rx, rhs.T.ravel()).reshape(L1, L0)
+        xy = self._sweep(ry, xy.T.ravel()).reshape(L0, L1)
+        yx = self._sweep(ry, rhs.ravel()).reshape(L0, L1)
+        yx = self._sweep(rx, yx.T.ravel()).reshape(L1, L0).T
+        out = n_new[box]
+        np.add(xy, yx, out=out)
+        out *= 0.5
+        return n_new, box
 
 
 def step_density(state: State, dt: float, params: model.ModelParams,
                  spec: model.ReactionSpec, *, G: np.ndarray | None = None,
                  _buffers=None) -> tuple:
-    """One conservative update of n (and p), linearly implicit in 1D and
-    explicit in 2D; returns (n, p, clipped_mass).
+    """One linearly implicit, conservative update of n (and p); returns
+    (n, p, clipped_mass).
 
     G, when given, is spec.G(state.p, state.c), already evaluated for this
-    step.  _buffers, when given, is _density_buffers(state.grid).  The arrays
+    step.  _buffers, when given, is _ImplicitDensity(state.grid).  The arrays
     of `state` are left untouched; n and p are new arrays.
     """
     g = state.grid
     if G is None:
         G = spec.G(state.p, state.c)
-    buf = _buffers or _density_buffers(g)
+    buf = _buffers or _ImplicitDensity(g)
     n_new, box = buf.advance(state.n, state.p, G, dt, params.gamma)
     nb = n_new[box]
     # n_new is 0 outside the box; initial=0.0 also covers an empty box
     worst = float(nb.min(initial=0.0))
     if not math.isfinite(worst) or worst < -NEG_TOL:
         k = int(np.argmin(n_new))
-        idx = np.unravel_index(k, n_new.shape)
+        idx = tuple(int(i) for i in np.unravel_index(k, n_new.shape))
         raise SolverError(
             f"density update out of range at cell {idx}: n={worst:.3e} (t={state.t})")
     n_H = params.n_H
@@ -629,9 +638,11 @@ def snapshot_times(T: float, snapshot_dt: float) -> np.ndarray:
 def _initial_state(setup: RunSetup) -> State:
     params = setup.params
     n = np.array(setup.n0, dtype=float)
+    _require_finite(n, "initial density n0")
     if np.any(n < 0.0) or np.any(n > params.n_H + 1e-12):
         raise ValueError("initial density violates 0 <= n0 <= n_H")
     c = np.array(setup.c0, dtype=float)
+    _require_finite(c, "initial nutrient c0")
     if np.any(c < 0.0) or np.any(c > params.c_B + 1e-12):
         raise ValueError("initial nutrient violates 0 <= c0 <= c_B")
     return State(setup.grid, 0.0, n, model.pressure_from_density(n, params.gamma), c)
@@ -678,11 +689,10 @@ def run(setup: RunSetup) -> Trajectory:
     traj = Trajectory(grid=g, params=params, times=marks.copy(),
                       n=np.zeros(shape), p=np.zeros(shape), c=np.zeros(shape),
                       snap_dts=np.zeros(K), dts=np.zeros(0),
-                      clipped_mass=0.0,
-                      meta={**setup.meta, **initial_report(g, state.p)})
+                      clipped_mass=0.0)
     traj.n[0], traj.p[0], traj.c[0] = state.n, state.p, state.c
 
-    buffers, nut = _density_buffers(g), _NutrientSolver(g)
+    buffers, nut = _ImplicitDensity(g), _NutrientSolver(g)
     dts = []
     clipped_total = 0.0
     at_marks = 0
@@ -710,7 +720,7 @@ def run(setup: RunSetup) -> Trajectory:
         traj.meta["runtime_s"] = _time.perf_counter() - wall0
         traj.meta["steps"] = len(dts)
         traj.meta["steps_at_marks"] = at_marks
-        traj.meta["front_courant"] = FRONT_COURANT if g.dim == 1 else None
+        traj.meta["front_courant"] = FRONT_COURANT
         traj.meta["nutrient_residual_max"] = nut.residual_max
         traj.meta["density_window_mean"] = (
             buffers.cells / (len(dts) * math.prod(g.shape)) if g.dim == 2 and dts else None)
@@ -724,7 +734,7 @@ def iterate_states(setup: RunSetup, max_steps: int):
     setup.snapshot_dt: a uniform state with reactions off gives the step
     rule no finite bound."""
     state = _initial_state(setup)
-    buffers, nut = _density_buffers(setup.grid), _NutrientSolver(setup.grid)
+    buffers, nut = _ImplicitDensity(setup.grid), _NutrientSolver(setup.grid)
     yield state
     for _ in range(max_steps):
         state = _step(state, state.t + setup.snapshot_dt, setup, buffers, nut)[0]

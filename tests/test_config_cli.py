@@ -70,17 +70,16 @@ def test_unknown_section_rejected():
         parse_config_text(MINIMAL + "\n[mystery]\nx = 1\n", env={})
 
 
-def test_cadence_rule_rejected_with_pointer():
-    # the rule applies where the explicit CFL bound sets the step: 2D
+def test_coarse_cadence_accepted_in_2d():
+    # the snapshot spacing of a 2D run is not tied to an explicit CFL step
     coarse = MINIMAL.replace("snapshot_dt = 2e-3", "snapshot_dt = 3e-2")
     coarse = coarse.replace("dimension = 1", "dimension = 2")
-    too_coarse = coarse.replace("horizon = 0.06", "horizon = 0.06")
-    with pytest.raises(ConfigError, match="cadence"):
-        parse_config_text(too_coarse, env={})
+    cfg = parse_config_text(coarse, env={})
+    assert cfg.get("grid", "dimension") == 2 and cfg.get("time", "snapshot_dt") == 3e-2
 
 
 def test_standard_config_runs_at_gamma_160(tmp_path, monkeypatch):
-    # 1D has no cadence rule: the implicit step is not bounded by the CFL dt
+    # no cadence rule: the implicit step is not bounded by an explicit CFL dt
     cfg = parse_config_text(STANDARD_CFG.read_text(encoding="utf-8"),
                             env={"TUMORHS_MODEL__GAMMA": "160"})
     assert cfg.get("model", "gamma") == 160.0
@@ -247,6 +246,13 @@ def test_repeated_runs_bitwise_identical(tmp_path):
     assert timing["front_courant"] == solver.FRONT_COURANT
     assert 0.0 <= timing["nutrient_residual_max"] <= 1e-10
     assert timing["density_window_mean"] is None         # 1D works on every cell
+    # 2D: the same step rule, on the support's box
+    cfg_2d = tmp_path / "plateau2d.cfg"
+    cfg_2d.write_text(PLATEAU_2D, encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg_2d), "--out", str(tmp_path / "c")]) == 0
+    timing = json.loads((next((tmp_path / "c").iterdir()) / "timing.json").read_text())
+    assert timing["front_courant"] == solver.FRONT_COURANT
+    assert 0.0 < timing["density_window_mean"] < 1.0
 
 
 WALL_REACHING = """

@@ -1,6 +1,7 @@
 """Time stepper: CFL control, conservative density update, IMEX nutrient
 update, full runs, and the self-similar verification study."""
 
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import sparse
+from scipy.linalg.lapack import dgtsv
 from scipy.ndimage import binary_dilation
 from scipy.sparse.linalg import spsolve
 
@@ -36,14 +38,19 @@ def constant_G(value, params):
 # ---------------------------------------------------------------------------
 
 def test_cfl_formula_value():
-    # the explicit bound sets the 2D step:
-    # h=0.01, gamma=50, max n^gamma = 1, d=2, safety=0.4 -> 2e-7
+    # the 2D front rule FRONT_COURANT h^2 / max |dp| over the faces of both
+    # axes: a gradient along x alone gives the step its transpose gives
     params = model.ModelParams(gamma=50.0)
     spec = solver.reactions_off(params)
     g = Grid.symmetric(2, 0.5, 100)      # h = 0.01
-    n = np.full(g.shape, 1.0)
+    x = g.coords[0]
+    n = np.clip(0.9 - 0.5 * x, 0.0, params.n_H)
+    assert np.all(n == n[:, :1]) and np.ptp(n) > 0.0
     st_ = make_state(g, params, n)
-    assert cfl_dt(st_, params, spec, safety=0.4) == pytest.approx(2e-7, rel=1e-12)
+    dp_max = float(np.max(np.abs(np.diff(st_.p, axis=0))))
+    dt = cfl_dt(st_, params, spec, safety=0.4)
+    assert dt == pytest.approx(solver.FRONT_COURANT * 1e-4 / dp_max, rel=1e-12)
+    assert cfl_dt(make_state(g, params, n.T.copy()), params, spec, safety=0.4) == dt
 
 
 def test_cfl_zero_density_reaction_cap_alone():
@@ -53,17 +60,6 @@ def test_cfl_zero_density_reaction_cap_alone():
     st_ = make_state(g, params, np.zeros(g.shape))
     # G(0, c_B) = 0.6 is the largest rate on this state
     assert cfl_dt(st_, params, spec, safety=0.4) == pytest.approx(0.4 / 0.6, rel=1e-12)
-
-
-def test_cfl_halves_when_gamma_doubles():
-    g = Grid.symmetric(2, 1.0, 64)
-    n = np.full(g.shape, 1.0)
-    dts = []
-    for gamma in (25.0, 50.0):
-        params = model.ModelParams(gamma=gamma)
-        spec = solver.reactions_off(params)
-        dts.append(cfl_dt(make_state(g, params, n), params, spec))
-    assert dts[1] == pytest.approx(dts[0] / 2.0, rel=1e-12)
 
 
 def test_cfl_nan_state_is_fatal():
@@ -123,19 +119,22 @@ def test_clipping_is_accounted():
 
 
 def test_negative_update_aborts_with_cell():
-    # the explicit 2D step; the 1D step is implicit and keeps n >= 0
+    # the implicit step keeps n >= 0, so only a non-finite update reaches the
+    # abort: here a NaN cell of the old state
     params = model.ModelParams(gamma=2.0)
     spec = solver.reactions_off(params)
     g = Grid.symmetric(2, 1.0, 64)
     n = np.full(g.shape, 1e-6)
     n[g.n // 2, g.n // 2] = 0.8
     st_ = make_state(g, params, n)
-    with pytest.raises(SolverError, match="cell"):
-        step_density(st_, 1.0, params, spec)   # wildly violates the CFL bound
+    st_.n[10, 20] = np.nan
+    with pytest.raises(SolverError, match=r"out of range at cell \(\d+, \d+\): n=nan"):
+        step_density(st_, 1e-3, params, spec)
 
 
 def test_implicit_step_keeps_density_nonnegative_at_any_dt():
-    # the state above, with reactions, in 1D: the M-matrix keeps n >= 0
+    # the state above, with reactions: the M-matrix sweeps keep n >= 0, in 1D
+    # at dt = 1 and in 2D at up to 100 front steps
     params = model.ModelParams(gamma=2.0)
     spec = model.default_reactions(params)
     g = Grid.symmetric(1, 1.0, 64)
@@ -144,6 +143,15 @@ def test_implicit_step_keeps_density_nonnegative_at_any_dt():
     n_new, p_new, clipped = step_density(make_state(g, params, n), 1.0, params, spec)
     assert np.all(n_new >= 0.0) and np.all(np.isfinite(n_new))
     assert np.all(n_new <= params.n_H) and clipped == 0.0
+    g = Grid.symmetric(2, 1.0, 64)
+    n = np.full(g.shape, 1e-6)
+    n[g.n // 2, g.n // 2] = 0.8
+    st_ = make_state(g, params, n)
+    front = cfl_dt(st_, params, solver.reactions_off(params))
+    for dt in (front, 10.0 * front, 100.0 * front):
+        n_new, p_new, clipped = step_density(st_, dt, params, spec)
+        assert np.all(n_new >= 0.0) and np.all(np.isfinite(n_new))
+        assert np.all(n_new <= params.n_H) and clipped == 0.0
 
 
 def test_implicit_step_mass_changes_by_the_source_alone():
@@ -158,35 +166,86 @@ def test_implicit_step_mass_changes_by_the_source_alone():
         assert clipped == 0.0
         expected = float(np.sum(n0 * (1.0 + dt * G))) * g.h
         assert float(np.sum(n_new)) * g.h == pytest.approx(expected, rel=1e-13)
+    # 2D, at up to 100 front steps
+    g = Grid.symmetric(2, 2.0, 48)
+    n0, _ = solver.initial_plateau(g, params, theta=0.5, radius=0.6, edge=0.25)
+    st_ = make_state(g, params, n0)
+    G = spec.G(st_.p, st_.c)
+    front = cfl_dt(st_, params, solver.reactions_off(params))
+    for dt in (front, 10.0 * front, 100.0 * front):
+        n_new, _, clipped = step_density(st_, dt, params, spec)
+        assert clipped == 0.0
+        expected = float(np.sum(n0 * (1.0 + dt * G))) * g.cell_volume
+        assert float(np.sum(n_new)) * g.cell_volume == pytest.approx(expected, rel=1e-13)
 
 
 def test_implicit_flux_at_the_old_state_is_the_explicit_flux():
-    # plateau, slopes and empty cells: secant, tangent and zero faces
+    # plateau, slopes and empty cells: secant, tangent and zero faces; in 2D
+    # the faces of both axes, the x faces from the transposed lines
     params = model.ModelParams(gamma=30.0)
-    g = Grid.symmetric(1, 2.0, 96)
-    n, p = solver.initial_plateau(g, params, theta=0.6, radius=0.8, edge=0.3)
-    assert np.any((np.diff(n) == 0.0) & (n[1:] > 0.0))
-    D = solver._ImplicitDensity(g).face_mobility(n, p, params.gamma).copy()
-    assert np.all(D >= 0.0)
-    flux = np.concatenate([[0.0], -D * np.diff(n) / g.h, [0.0]])
-    div_implicit = np.diff(flux) / g.h
-    div_explicit = solver._flux_divergence(n, p, g.h)
-    scale = float(np.abs(div_explicit).max())
-    assert scale > 0.0
-    assert np.max(np.abs(div_implicit - div_explicit)) <= 1e-12 * scale
+    for dim in (1, 2):
+        g = Grid.symmetric(dim, 2.0, 48)
+        n, p = solver.initial_plateau(g, params, theta=0.6, radius=0.8, edge=0.3)
+        dens = solver._ImplicitDensity(g)
+        N = g.n
+        for ax in range(dim):
+            # the lines of this axis, one per row
+            lines_n = np.moveaxis(n, ax, -1).reshape(-1, N)
+            lines_p = np.moveaxis(p, ax, -1).reshape(-1, N)
+            assert np.any((np.diff(lines_n) == 0.0) & (lines_n[:, 1:] > 0.0))
+            out = np.full(n.size + 1, np.nan)
+            D = dens.face_mobility(lines_n.ravel(), lines_p.ravel(), params.gamma, N, out)
+            assert D.shape == (n.size + 1,) and np.all(D[::N] == 0.0)
+            D = D[:-1].reshape(-1, N)[:, 1:]
+            assert np.all(D >= 0.0)
+            # the explicit flux -mean(n) dp/h of the faces
+            implicit = -D * np.diff(lines_n) / g.h
+            explicit = -(0.5 * (lines_n[:, 1:] + lines_n[:, :-1])) * np.diff(lines_p) / g.h
+            scale = float(np.abs(explicit).max())
+            assert scale > 0.0
+            assert np.max(np.abs(implicit - explicit)) <= 1e-12 * scale
+
+
+def line_mobility(n, p, gamma):
+    """D_f = mean(n) max(s_f, 0) on the faces along the last axis of n, p: s_f
+    is the secant dp/dn, or the tangent gamma p/n where the cells agree."""
+    lo, hi = n[:, :-1], n[:, 1:]
+    dn = hi - lo
+    flat = dn == 0.0
+    dp = np.where(flat, gamma * p[:, :-1], p[:, 1:] - p[:, :-1])
+    dn = np.where(flat, lo, dn)
+    dn = np.where(dn == 0.0, 1.0, dn)
+    return np.maximum(dp / dn, 0.0) * ((hi + lo) * 0.5)
+
+
+def line_sweep(D, b, dt, h):
+    """x of (I - dt div D grad) x = b along the last axis of b, every line of
+    the grid in one tridiagonal system, averaged with the solve of the
+    reversed system, reversed back."""
+    L, m = b.shape
+    r = np.zeros(L * m + 1)
+    r[:-1].reshape(L, m)[:, 1:] = D * (dt / (h * h))
+
+    def solve(r, b):
+        *_, x, info = dgtsv(-r[1:-1], r[:-1] + r[1:] + 1.0, -r[1:-1], b)
+        assert info == 0
+        return x
+
+    b = b.ravel()
+    return ((solve(r, b) + solve(r[::-1], b[::-1])[::-1]) * 0.5).reshape(L, m)
 
 
 def whole_grid_density_step(state, dt, params, spec):
-    """Reference for the 2D density step: the explicit update of every cell
-    of the grid, then the clip with its accounting and the pressure law."""
-    n, p, h = state.n, state.p, state.grid.h
+    """Reference for the 2D density step: the split step on every line of
+    the grid, the mean of the xy and yx orders, then the clip with its
+    accounting and the pressure law."""
+    n, p, h, gamma = state.n, state.p, state.grid.h, params.gamma
     G = spec.G(p, state.c)
-    fx = np.zeros((n.shape[0] + 1, n.shape[1]))
-    fy = np.zeros((n.shape[0], n.shape[1] + 1))
-    fx[1:-1] = -((0.5 * (n[:-1] + n[1:])) * ((p[1:] - p[:-1]) / h))
-    fy[:, 1:-1] = -((0.5 * (n[:, :-1] + n[:, 1:])) * ((p[:, 1:] - p[:, :-1]) / h))
-    div = (fx[1:] - fx[:-1]) / h + (fy[:, 1:] - fy[:, :-1]) / h
-    n_new = (n * G - div) * dt + n
+    Dx, Dy = line_mobility(n.T, p.T, gamma), line_mobility(n, p, gamma)
+    b = n * G * dt + n
+    xy = line_sweep(Dy, line_sweep(Dx, b.T, dt, h).T, dt, h)
+    yx = line_sweep(Dx, line_sweep(Dy, b, dt, h).T, dt, h).T
+    n_new = (xy + yx) * 0.5
     clipped = float(np.sum(np.maximum(-n_new, 0.0))
                     + np.sum(np.maximum(n_new - params.n_H, 0.0))) * state.grid.cell_volume
     n_new = np.clip(n_new, 0.0, params.n_H)
@@ -229,7 +288,7 @@ def test_box_density_step_is_the_whole_grid_step(case):
     else:                       # growth pushes the plateau above n_H
         n, _ = solver.initial_plateau(g, params, theta=0.999, radius=0.8, edge=0.3,
                                       height="density")
-        spec = constant_G(10.0, params)
+        spec = constant_G(100.0, params)
     state = make_state(g, params, n, c=solver.nutrient_deficit(g, params, 0.5, 1.0))
     rows, cols = solver._support_box(n)
     box = n[rows, cols]
@@ -271,6 +330,47 @@ def test_box_density_step_along_a_2d_run(monkeypatch):
         assert np.all(state.p[state.n == 0.0] == 0.0)
     assert len(boxes) == 200
     assert boxes[0] < boxes[-1] < g.n * g.n      # the support grew, and so did the box
+
+
+def test_two_dimensional_step_is_equivariant_bit_for_bit():
+    # the mean of the xy and yx orders commutes with the transpose, and the
+    # mirror-averaged sweeps with both reflections, also on asymmetric data
+    params = model.ModelParams(gamma=6.0)
+    spec = model.default_reactions(params)
+    g = Grid.symmetric(2, 1.5, 32)
+    n = blobs(g, 0.8, (-0.4, 0.3, 0.6), (0.5, -0.2, 0.45))
+    c = solver.nutrient_deficit(g, params, 0.5, 1.0)
+    dt = cfl_dt(make_state(g, params, n, c=c), params, spec)
+    ref = step_density(make_state(g, params, n, c=c), dt, params, spec)
+    for op in (np.transpose, lambda a: a[::-1, :], lambda a: a[:, ::-1]):
+        state = make_state(g, params, op(n).copy(), c=op(c).copy())
+        result = step_density(state, dt, params, spec)
+        assert result[0].tobytes() == op(ref[0]).copy().tobytes()
+        assert result[1].tobytes() == op(ref[1]).copy().tobytes()
+
+
+def test_density_buffers_serve_boxes_of_every_shape():
+    # the scratch arrays of a run are shared by boxes of every shape: a step
+    # on a box clamped to two walls, after steps on boxes of other shapes,
+    # has the bits of a fresh solver and of the whole-grid step (no stale
+    # mobility reaches a wall face)
+    params = model.ModelParams(gamma=6.0)
+    spec = model.default_reactions(params)
+    g = Grid.symmetric(2, 1.5, 32)
+    c = solver.nutrient_deficit(g, params, 0.5, 1.0)
+    earlier = [make_state(g, params, blobs(g, 0.8, *discs), c=c) for discs in (
+        [(-0.3, 0.2, 0.5)], [(0.7, -0.5, 0.4), (-0.6, 0.1, 0.3)], [(0.0, 0.1, 1.3)])]
+    target = make_state(g, params, blobs(g, 0.8, (-1.45, 1.45, 0.5)), c=c)
+    shapes = {tuple(sl.stop - sl.start for sl in solver._support_box(st_.n))
+              for st_ in earlier + [target]}
+    assert len(shapes) == 4
+    dt = cfl_dt(target, params, spec)
+    fresh = step_density(target, dt, params, spec)
+    assert_same_step(fresh, whole_grid_density_step(target, dt, params, spec))
+    buffers = solver._ImplicitDensity(g)
+    for st_ in earlier:
+        step_density(st_, cfl_dt(st_, params, spec), params, spec, _buffers=buffers)
+    assert_same_step(step_density(target, dt, params, spec, _buffers=buffers), fresh)
 
 
 def test_run_reports_the_box_and_the_nutrient_residual():
@@ -522,6 +622,24 @@ def test_state_bounds_enforced_along_run():
     assert float(np.max(traj.c)) <= params.c_B + 1e-8
 
 
+def test_non_finite_initial_data_rejected(tmp_path):
+    # NaN fails every bound comparison, so finiteness is checked on its own
+    setup = small_setup()
+    n0 = setup.n0.copy()
+    n0[40] = np.nan
+    with pytest.raises(ValueError, match=r"n0 is not finite at cell \(40,\)"):
+        run(dataclasses.replace(setup, n0=n0))
+    c0 = setup.c0.copy()
+    c0[7] = np.nan
+    with pytest.raises(ValueError, match=r"c0 is not finite at cell \(7,\)"):
+        run(dataclasses.replace(setup, c0=c0))
+    g, path = setup.grid, tmp_path / "n0.csv"
+    np.savetxt(path, np.column_stack([g.coords[0], n0]), delimiter=",",
+               header="x0,value", comments="", fmt="%.17g")
+    with pytest.raises(ValueError, match=r"n0 .*n0\.csv\) is not finite at cell \(40,\)"):
+        solver.initial_from_csv(g, setup.params, path)
+
+
 def test_initial_data_validation():
     setup = small_setup()
     bad = RunSetup(grid=setup.grid, params=setup.params, spec=setup.spec,
@@ -532,12 +650,6 @@ def test_initial_data_validation():
                      n0=setup.n0, c0=setup.c0 + 1.0, T=0.01, snapshot_dt=0.01)
     with pytest.raises(ValueError, match="c0"):
         run(bad_c)
-
-
-def test_initial_report_norms_present():
-    traj = run(small_setup())
-    assert math.isfinite(traj.meta["grad_p0_l2"])
-    assert math.isfinite(traj.meta["lap_p0_l2"])
 
 
 def test_partial_flush_on_failure(tmp_path):
@@ -687,7 +799,7 @@ def test_step_counts_pinned():
     setup = RunSetup(grid=g, params=params, spec=model.default_reactions(params),
                      n0=n0, c0=solver.nutrient_uniform(g, params), T=0.02,
                      snapshot_dt=0.005)
-    assert run(setup).meta["steps"] == 35
+    assert run(setup).meta["steps"] == 63
 
 
 def test_standard_step_counts_pinned_and_flat_in_gamma(standard_sweep):
