@@ -53,6 +53,20 @@ def test_cfl_formula_value():
     assert cfl_dt(make_state(g, params, n.T.copy()), params, spec, safety=0.4) == dt
 
 
+def test_cfl_front_step_is_the_same_for_every_gamma():
+    # at a sharp front n jumps from 1 to 0, so max |dp| = 1 at any gamma and
+    # the front rule gives FRONT_COURANT h^2 whatever gamma is
+    g = Grid.symmetric(2, 1.0, 64)
+    n = np.where(g.coords[0] ** 2 + g.coords[1] ** 2 < 0.25, 1.0, 0.0)
+    dts = []
+    for gamma in (25.0, 50.0, 100.0):
+        params = model.ModelParams(gamma=gamma)
+        spec = solver.reactions_off(params)
+        dts.append(cfl_dt(make_state(g, params, n), params, spec))
+    expected = solver.FRONT_COURANT * g.h * g.h
+    assert dts == [pytest.approx(expected, rel=1e-12)] * 3
+
+
 def test_cfl_zero_density_reaction_cap_alone():
     params = model.ModelParams(gamma=20.0)
     spec = model.default_reactions(params)
