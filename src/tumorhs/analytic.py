@@ -33,6 +33,7 @@ __all__ = [
     "BarrierParams",
     "barrier_radius",
     "barrier_check",
+    "barrier_check_radii",
     "shell_coefficients",
     "shell_pressure",
     "shell_pressure_slope",
@@ -157,16 +158,22 @@ def barrier_check(trajectory, prm: BarrierParams,
     Returns (all_pass, failures) where failures lists
     (snapshot index, time, worst radius, barrier radius).
     """
-    g = trajectory.grid
-    r = g.radius
+    r = trajectory.grid.radius
+    radii = [float(np.max(np.where(nk > support_threshold, r, 0.0)))
+             for nk in trajectory.n]
+    return barrier_check_radii(trajectory.times, radii, prm)
+
+
+def barrier_check_radii(times, support_radius, prm: BarrierParams):
+    """barrier_check from the support radius of each snapshot, the largest
+    cell-centre radius of its support (0 for an empty support, which no
+    barrier radius is below), as the monitors' support_radius series holds
+    it."""
     failures = []
-    for k, t in enumerate(trajectory.times):
+    for k, (t, worst) in enumerate(zip(times, support_radius)):
         rad = barrier_radius(t, prm)
-        mask = trajectory.n[k] > support_threshold
-        if np.any(mask):
-            worst = float(np.max(r[mask]))
-            if worst > rad:
-                failures.append((k, float(t), worst, rad))
+        if worst > rad:
+            failures.append((k, float(t), float(worst), rad))
     return (not failures, failures)
 
 

@@ -80,12 +80,14 @@ def cmd_run(args) -> int:
 
 def run_assertions(traj, report, setup, cfg):
     """Per-run acceptance checks: bounds, clip budget, L1 pressure bound,
-    nutrient inequality, barrier containment, complementarity lhs bound."""
+    nutrient inequality, barrier containment, complementarity lhs bound.
+    Every check over the snapshots reads the report, whose pass saw each
+    one; traj supplies the clipped mass."""
     out = []
     params = setup.params
-    s = report.series
-    nmax, cmax = float(np.max(traj.n)), float(np.max(traj.c))
-    nmin, cmin = float(np.min(traj.n)), float(np.min(traj.c))
+    s, ext = report.series, report.extremes
+    nmax, cmax = float(np.max(ext["n_max"])), float(np.max(ext["c_max"]))
+    nmin, cmin = float(np.min(ext["n_min"])), float(np.min(ext["c_min"]))
     ok = (nmin >= -1e-12 and nmax <= params.n_H + 1e-8
           and cmin >= -1e-8 and cmax <= params.c_B + 1e-8)
     out.append(("bounds 0<=n<=n_H, 0<=c<=c_B", ok,
@@ -107,7 +109,7 @@ def run_assertions(traj, report, setup, cfg):
                     f"<= {report.accum['compl_lhs_bound']:.3e}"))
     prm_b = config_mod.barrier_params(cfg, setup)
     if prm_b is not None:
-        ok, fails = analytic.barrier_check(traj, prm_b)
+        ok, fails = analytic.barrier_check_radii(s["t"], s["support_radius"], prm_b)
         detail = "all snapshots inside" if ok else f"{len(fails)} snapshots outside"
         out.append(("support barrier", ok, detail))
     gres = report.accum["graph_residual_max"]

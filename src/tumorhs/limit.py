@@ -162,33 +162,45 @@ def heleshaw_reference(p_num: np.ndarray, c_num: np.ndarray,
 def run_once(cfg, gamma: float | None = None, out_root=None) -> tuple:
     """Run a parsed config (at gamma, when given) and compute its monitors.
 
-    With out_root the run directory out_root/<config hash>[-g<gamma>] is
-    written, and a run that fails with a SolverError leaves the snapshots it
-    reached there as a partial dump, whose directory is the error's
-    partial_dir; when the dump itself fails, partial_dir stays None and the
-    OSError is the error's partial_error.  Returns (trajectory, monitor
-    report, setup, run directory or None).
+    Without out_root the run keeps its whole history in memory and
+    compute_report measures it.  With out_root the run streams: each
+    snapshot goes to the field writer of the run directory
+    out_root/<config hash>[-g<gamma>] and to the monitor pass as the run
+    reaches it, the returned trajectory holds only the first and the last
+    snapshot, and timing.json gets the time of both consumers.  A run that
+    fails with a SolverError leaves the snapshots it reached there as a
+    partial dump, whose directory is the error's partial_dir; when the dump
+    itself fails, partial_dir stays None and the OSError is the error's
+    partial_error.  Returns (trajectory, monitor report, setup, run directory
+    or None).
     """
-    out_dir = echo = None
-    if out_root is not None:
-        echo = config.render_config(cfg)
-        tag = "" if gamma is None else f"g{gamma:g}"
-        out_dir = runio.run_dir_for(out_root, echo, tag=tag)
     setup, zeta, weight_on = config.build_setup(cfg, gamma_override=gamma)
-    try:
+    weight = monitors.build_weight(setup.grid) if weight_on else None
+    if out_root is None:
         traj = solver.run(setup)
-    except solver.SolverError as exc:
-        if out_dir is not None:
+        report = monitors.compute_report(traj, setup.spec, zeta=zeta, weight=weight)
+        return traj, report, setup, None
+    echo = config.render_config(cfg)
+    out_dir = runio.run_dir_for(out_root, echo, tag="" if gamma is None else f"g{gamma:g}")
+    times = solver.snapshot_times(setup.T, setup.snapshot_dt)
+    scan = monitors.MonitorPass(setup.grid, setup.params, setup.spec, times,
+                                zeta=zeta, weight=weight)
+    with runio.FieldWriter(out_dir, times) as fields:
+        sink = solver.Fanout(write=fields, monitor=scan)
+        try:
+            traj = solver.run(setup, sink=sink)
+        except solver.SolverError as exc:
             try:
-                runio.flush_partial(out_dir, exc.trajectory)
+                fields.abort()
                 exc.partial_dir = out_dir
             except OSError as dump_error:
                 exc.partial_error = dump_error
-        raise
-    weight = monitors.build_weight(setup.grid) if weight_on else None
-    report = monitors.compute_report(traj, setup.spec, zeta=zeta, weight=weight)
-    if out_dir is not None:
-        runio.write_run(out_dir, echo, traj, report)
+            raise
+        sink.timed("write", fields.finish)
+    report = sink.timed("monitor", scan.report, traj)
+    traj.meta["monitor_s"] = sink.seconds["monitor"]
+    traj.meta["write_s"] = sink.seconds["write"]
+    runio.write_run(out_dir, echo, traj, report)
     return traj, report, setup, out_dir
 
 

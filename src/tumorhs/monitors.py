@@ -18,13 +18,16 @@ is evaluated with the grid quadrature for a compactly supported space-time
 bump zeta; |rhs| is the complementarity residual that must vanish in the stiff
 limit, |lhs - rhs| the discrete consistency defect (reported, not asserted).
 
-Everything is measured in one pass over the history, a block of snapshots at
-a time: each derivative (grad p, grad c, Lap p, Lap c, the Hessian terms),
-G, Gbar and w is computed once per block, vectorised over the snapshot axis,
-and every series value and per-interval integrand is reduced over the space
-axes of the block.  compute_report is the one way to measure; the integrals
-over a sub-interval of the run are those of the report of the trajectory cut
-to that time slice.
+Everything is measured in one pass, MonitorPass, fed one snapshot at a time,
+which measures a block of snapshots at a time: each derivative (grad p,
+grad c, Lap p, Lap c, the Hessian terms), G, Gbar and w is computed once per
+block, vectorised over the snapshot axis, and every series value and
+per-interval integrand is reduced over the space axes of the block.  The
+pass keeps only the block being filled and the snapshot after it, so a run
+can feed it as a sink of solver.run while it runs and hold no history;
+compute_report feeds it a trajectory held in memory.  The integrals over a
+sub-interval of the run are those of the report of the trajectory cut to
+that time slice.
 
 Space integrals are midpoint-rule sums.  Time accumulation is left-endpoint
 over the snapshot intervals, added one interval at a time in time order, so
@@ -51,6 +54,7 @@ __all__ = [
     "graph_residual",
     "graph_residual_bound",
     "energy",
+    "MonitorPass",
     "compute_report",
     "SERIES_COLUMNS",
 ]
@@ -63,6 +67,9 @@ class MonitorReport:
     series: dict            # name -> ndarray over snapshots
     accum: dict             # name -> float, nondecreasing in T
     meta: dict = field(default_factory=dict)
+    # n_min, n_max, c_min, c_max -> ndarray over snapshots: the field bounds
+    # the acceptance checks read; no output file holds them
+    extremes: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -152,42 +159,83 @@ def energy(state: State, spec: model.ReactionSpec) -> float:
 _BLOCK_CELLS = 4096
 
 
-def _scan(traj: Trajectory, spec: model.ReactionSpec, zeta: TestFunction | None,
-          weight: WeightFunction | None) -> dict:
-    """One pass over the snapshots, a block of them at a time.
+class MonitorPass:
+    """The one monitor pass, fed one snapshot at a time: a run sink, called
+    with (k, state, snap_dt) for k = 0 .. K-1 in order; report(trajectory)
+    then gives the report.
 
-    Returns name -> array over the snapshots: the per-snapshot series values
-    (unscaled sums where the series is an integral) and, for each space-time
-    accumulator, the space sum of its integrand at k.  The difference
-    quotients exist only for k < K - 1, where k + 1 does.  Each derivative is
-    computed once per block, and each snapshot gets exactly the bits it gets
-    alone.
+    It keeps at most size + 1 snapshots, size = max(1, _BLOCK_CELLS //
+    cells).  The snapshots k = a .. a + size - 1 form a block, measured once
+    snapshot a + size, which the block's difference quotients need, has
+    arrived; the last block is measured when the last snapshot arrives.
+    Each derivative is computed once per block, vectorised over the
+    snapshot axis, and every block is a contiguous (size, *shape) array, so
+    each snapshot gets exactly the bits it gets alone, however it was fed.
     """
-    g = traj.grid
-    dim, h = g.dim, g.h
-    K = len(traj)
-    axes = tuple(range(1, dim + 1))
-    c_B = traj.params.c_B
-    bc_c = dirichlet(c_B)
-    dts = np.diff(traj.times)
-    col = (slice(None),) + (None,) * dim   # a per-snapshot vector against a block
-    if zeta is not None:
-        zeta.check_support(g, float(traj.times[-1]))
-        bump, bump_grad = zeta.space_factors(g)
-        z_t, z_dt = zeta.time_factors(traj.times)
-    if weight is not None:
-        weight.verify()
-    parts = {}
 
-    def put(name, block_sums):
-        parts.setdefault(name, []).append(block_sums)
+    def __init__(self, grid: Grid, params: model.ModelParams, spec: model.ReactionSpec,
+                 times, zeta: TestFunction | None = None,
+                 weight: WeightFunction | None = None):
+        self.grid, self.params, self.spec = grid, params, spec
+        self.zeta, self.weight = zeta, weight
+        self.times = np.array(times, dtype=float)
+        self.snap_dts = np.zeros(len(self.times))
+        self._dts = np.diff(self.times)
+        if zeta is not None:
+            zeta.check_support(grid, float(self.times[-1]))
+            self._bump, self._bump_grad = zeta.space_factors(grid)
+            self._z_t, self._z_dt = zeta.time_factors(self.times)
+        if weight is not None:
+            weight.verify()
+        self._size = max(1, _BLOCK_CELLS // grid.n ** grid.dim)
+        self._block = np.empty((3, self._size + 1) + grid.shape)   # n, p, c
+        self._first = 0             # the snapshot in slot 0 of the block
+        self._count = 0             # snapshots fed so far
+        self._parts = {}
 
-    size = max(1, _BLOCK_CELLS // traj.n[0].size)
-    for a in range(0, K, size):
-        b = min(a + size, K)
-        n, p, c = traj.n[a:b], traj.p[a:b], traj.c[a:b]
+    def __call__(self, k: int, state: State, snap_dt: float) -> None:
+        if k != self._count:
+            raise ValueError(f"snapshot {k} fed after {self._count} snapshots")
+        self._count += 1
+        j = k - self._first
+        block = self._block
+        block[0, j], block[1, j], block[2, j] = state.n, state.p, state.c
+        self.snap_dts[k] = snap_dt
+        if j == self._size:
+            self._measure(j, j)
+            block[:, 0] = block[:, j]
+            self._first = k
+        if k == len(self.times) - 1:
+            size = k - self._first + 1
+            self._measure(size, size - 1)
+
+    def _put(self, name, block_sums):
+        self._parts.setdefault(name, []).append(block_sums)
+
+    def _measure(self, size: int, m: int) -> None:
+        """Measure the block of the size snapshots in the first slots, with
+        m difference quotients: size while snapshot k + 1 of its last
+        snapshot k is in the next slot, size - 1 for the run's last block.
+
+        The space sums of the block go to the parts: the per-snapshot series
+        values (unscaled sums where the series is an integral) and, for each
+        space-time accumulator, the space sum of its integrand at k.  The
+        difference quotients exist only for k < K - 1, where k + 1 does.
+        """
+        g = self.grid
+        dim, h = g.dim, g.h
+        a = self._first
+        axes = tuple(range(1, dim + 1))
+        c_B = self.params.c_B
+        bc_c = dirichlet(c_B)
+        spec, put = self.spec, self._put
+        col = (slice(None),) + (None,) * dim   # a per-snapshot vector against a block
+        n, p, c = self._block[:, :size]
         put("mass", np.sum(n, axis=axes))
         put("linf_n", np.max(n, axis=axes))
+        put("n_min", np.min(n, axis=axes))
+        put("c_min", np.min(c, axis=axes))
+        put("c_max", np.max(c, axis=axes))
         put("l1_n", np.sum(np.abs(n), axis=axes))
         put("linf_p", np.max(p, axis=axes))
         put("l1_p", np.sum(np.abs(p), axis=axes))
@@ -209,12 +257,12 @@ def _scan(traj: Trajectory, spec: model.ReactionSpec, zeta: TestFunction | None,
         put("lap_c_l2_sq", np.sum(lap_c * lap_c, axis=axes))
 
         # forward difference quotients between snapshots k and k + 1
-        m = min(b, K - 1) - a
         if m > 0:
-            dt = dts[a:a + m][col]
-            dn = (traj.n[a + 1:a + m + 1] - n[:m]) / dt
-            dp = (traj.p[a + 1:a + m + 1] - p[:m]) / dt
-            dc = (traj.c[a + 1:a + m + 1] - c[:m]) / dt
+            dt = self._dts[a:a + m][col]
+            n_next, p_next, c_next = self._block[:, 1:m + 1]
+            dn = (n_next - n[:m]) / dt
+            dp = (p_next - p[:m]) / dt
+            dc = (c_next - c[:m]) / dt
             put("dt_n_l1", np.sum(np.abs(dn), axis=axes))
             put("dt_p_l1", np.sum(np.abs(dp), axis=axes))
             put("dt_c_l1", np.sum(np.abs(dc), axis=axes))
@@ -234,16 +282,78 @@ def _scan(traj: Trajectory, spec: model.ReactionSpec, zeta: TestFunction | None,
                       else gradient_array(grads[i], h, DIRICHLET_ZERO, dim)[j])
                 hess += d2 * d2
         put("diss_h", np.sum(p * hess, axis=axes))
-        if weight is not None:
-            put("weighted_ab_neg_l3", np.sum(w_neg3 * weight.values, axis=axes))
-        if zeta is not None:
-            t_fac = z_t[a:b][col]
-            zv = bump * t_fac
-            zdt = bump * z_dt[a:b][col]
+        if self.weight is not None:
+            put("weighted_ab_neg_l3", np.sum(w_neg3 * self.weight.values, axis=axes))
+        if self.zeta is not None:
+            t_fac = self._z_t[a:a + size][col]
+            zv = self._bump * t_fac
+            zdt = self._bump * self._z_dt[a:a + size][col]
             put("compl_lhs", np.sum(p * zdt + gsq * zv, axis=axes))
-            pdotz = sum(gx * (zg * t_fac) for gx, zg in zip(grads, bump_grad))
+            pdotz = sum(gx * (zg * t_fac) for gx, zg in zip(grads, self._bump_grad))
             put("compl_rhs", np.sum(-gsq * zv - p * pdotz + p * G * zv, axis=axes))
-    return {name: np.concatenate(blocks) for name, blocks in parts.items()}
+
+    def report(self, traj: Trajectory) -> MonitorReport:
+        """The report of the snapshots fed, once all K have been; traj gives
+        the run's clipped mass and step count."""
+        if self._count != len(self.times):
+            raise ValueError(f"{self._count} of {len(self.times)} snapshots fed")
+        sums = {name: np.concatenate(blocks) for name, blocks in self._parts.items()}
+        hd = self.grid.cell_volume
+        dts = self._dts.tolist()
+        gamma = self.params.gamma
+
+        def accumulate(name):
+            """Left-endpoint rule, added in k order: sum_k sums[name][k] * h^d * dt_k."""
+            total = 0.0
+            if name in sums:
+                for s, dt in zip(sums[name].tolist(), dts):
+                    total += s * hd * dt
+            return total
+
+        series = {
+            "t": self.times.copy(),
+            "dt": self.snap_dts.copy(),
+            "mass": sums["mass"] * hd,
+            "linf_n": sums["linf_n"],
+            "l1_n": sums["l1_n"] * hd,
+            "linf_p": sums["linf_p"],
+            "l1_p": sums["l1_p"] * hd,
+            "l1_c_dev": sums["l1_c_dev"] * hd,
+            "l2_grad_c": np.sqrt(sums["grad_c_sq"] * hd),
+            "l2_grad_p": np.sqrt(sums["grad_p_sq"] * hd),
+            "energy": sums["energy"] * hd,
+            "graph_residual": sums["graph_residual"],
+            "support_radius": sums["support_radius"],
+            "w_min": sums["w_min"],
+        }
+        accum = {name: accumulate(name) for name in (
+            "grad_c_l4", "lap_c_l2_sq", "dt_c_l2_sq", "dt_n_l1", "dt_p_l1", "dt_c_l1",
+            "ab_neg_l3", "lap_l1", "grad_p_l4")}
+        # the dissipation pair ((gamma-1) intint p|w|^2, intint p sum_ij (d2_ij p)^2)
+        accum["diss_pressure_weighted"] = (gamma - 1.0) * accumulate("diss_w")
+        accum["diss_hessian"] = accumulate("diss_h")
+        meta = {"gamma": gamma}
+        if self.weight is not None:
+            accum["weighted_ab_neg_l3"] = accumulate("weighted_ab_neg_l3")
+            meta["C_phi"] = self.weight.C_phi
+        if self.zeta is not None:
+            lhs = -accumulate("compl_lhs") / gamma
+            rhs = accumulate("compl_rhs")
+            zmax, dtmax = self.zeta.sup_norms(self.grid, self.times[:-1])
+            accum["compl_lhs"] = lhs
+            accum["compl_rhs"] = rhs
+            accum["compl_defect"] = abs(lhs - rhs)
+            accum["compl_lhs_bound"] = (accumulate("l1_p") * dtmax
+                                        + accumulate("grad_p_sq") * zmax) / gamma
+            meta["zeta_sup"] = zmax
+            meta["zeta_dt_sup"] = dtmax
+        accum["graph_residual_max"] = float(np.max(series["graph_residual"]))
+        accum["energy_max"] = float(np.max(series["energy"]))
+        meta["clipped_mass"] = traj.clipped_mass
+        meta["steps"] = int(traj.meta.get("steps", 0))
+        extremes = {"n_min": sums["n_min"], "n_max": sums["linf_n"],
+                    "c_min": sums["c_min"], "c_max": sums["c_max"]}
+        return MonitorReport(series=series, accum=accum, meta=meta, extremes=extremes)
 
 
 SERIES_COLUMNS = [
@@ -256,8 +366,8 @@ SERIES_COLUMNS = [
 def compute_report(traj: Trajectory, spec: model.ReactionSpec,
                    zeta: TestFunction | None = None,
                    weight: WeightFunction | None = None) -> MonitorReport:
-    """All monitors for one trajectory from one pass over its snapshots; the
-    report is what runs write to disk.
+    """All monitors of a trajectory held in memory: its snapshots fed, in
+    order, to the one monitor pass.  The report is what runs write to disk.
 
     Per-snapshot norms, then the space-time integrals of the one-sided
     Laplacian bounds, of c's derivatives and of the time-difference quotients
@@ -265,58 +375,7 @@ def compute_report(traj: Trajectory, spec: model.ReactionSpec,
     of the weak stiff-pressure identity plus the explicit (1/gamma) bound on
     its left side, with all factors measured.
     """
-    sums = _scan(traj, spec, zeta, weight)
-    hd = traj.grid.cell_volume
-    dts = np.diff(traj.times).tolist()
-    gamma = traj.params.gamma
-
-    def accumulate(name):
-        """Left-endpoint rule, added in k order: sum_k sums[name][k] * h^d * dt_k."""
-        total = 0.0
-        if name in sums:
-            for s, dt in zip(sums[name].tolist(), dts):
-                total += s * hd * dt
-        return total
-
-    series = {
-        "t": traj.times.copy(),
-        "dt": traj.snap_dts.copy(),
-        "mass": sums["mass"] * hd,
-        "linf_n": sums["linf_n"],
-        "l1_n": sums["l1_n"] * hd,
-        "linf_p": sums["linf_p"],
-        "l1_p": sums["l1_p"] * hd,
-        "l1_c_dev": sums["l1_c_dev"] * hd,
-        "l2_grad_c": np.sqrt(sums["grad_c_sq"] * hd),
-        "l2_grad_p": np.sqrt(sums["grad_p_sq"] * hd),
-        "energy": sums["energy"] * hd,
-        "graph_residual": sums["graph_residual"],
-        "support_radius": sums["support_radius"],
-        "w_min": sums["w_min"],
-    }
-    accum = {name: accumulate(name) for name in (
-        "grad_c_l4", "lap_c_l2_sq", "dt_c_l2_sq", "dt_n_l1", "dt_p_l1", "dt_c_l1",
-        "ab_neg_l3", "lap_l1", "grad_p_l4")}
-    # the dissipation pair ((gamma-1) intint p|w|^2, intint p sum_ij (d2_ij p)^2)
-    accum["diss_pressure_weighted"] = (gamma - 1.0) * accumulate("diss_w")
-    accum["diss_hessian"] = accumulate("diss_h")
-    meta = {"gamma": gamma}
-    if weight is not None:
-        accum["weighted_ab_neg_l3"] = accumulate("weighted_ab_neg_l3")
-        meta["C_phi"] = weight.C_phi
-    if zeta is not None:
-        lhs = -accumulate("compl_lhs") / gamma
-        rhs = accumulate("compl_rhs")
-        zmax, dtmax = zeta.sup_norms(traj.grid, traj.times[:-1])
-        accum["compl_lhs"] = lhs
-        accum["compl_rhs"] = rhs
-        accum["compl_defect"] = abs(lhs - rhs)
-        accum["compl_lhs_bound"] = (accumulate("l1_p") * dtmax
-                                    + accumulate("grad_p_sq") * zmax) / gamma
-        meta["zeta_sup"] = zmax
-        meta["zeta_dt_sup"] = dtmax
-    accum["graph_residual_max"] = float(np.max(series["graph_residual"]))
-    accum["energy_max"] = float(np.max(series["energy"]))
-    meta["clipped_mass"] = traj.clipped_mass
-    meta["steps"] = int(traj.meta.get("steps", 0))
-    return MonitorReport(series=series, accum=accum, meta=meta)
+    scan = MonitorPass(traj.grid, traj.params, spec, traj.times, zeta=zeta, weight=weight)
+    for k in range(len(traj)):
+        scan(k, traj.state(k), traj.snap_dts[k])
+    return scan.report(traj)

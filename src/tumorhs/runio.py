@@ -11,11 +11,20 @@ ever silently overwritten with different content:
         final_state.csv    last snapshot as text (coordinates, n, p, c)
         monitors.csv       per-snapshot monitor rows (t, dt, then one column each)
         summary.json       accumulated monitors plus run metadata
-        timing.json        wall-clock runtime, step count, smallest and largest dt,
+        timing.json        solver runtime, step count, smallest and largest dt,
                            steps cut short by a snapshot mark, 1D front rule,
-                           largest nutrient solve residual, mean 2D density box
+                           largest nutrient solve residual, mean 2D density box,
+                           time of the monitor pass and of the field writes
 
-No timestamps are written anywhere, and the wall-clock runtime goes to
+fields.bin is streamed: a FieldWriter, one of the sinks of solver.run,
+appends each snapshot to fields.partial.bin as the run reaches it, and the
+file is renamed to fields.bin once the run has succeeded; write_run writes
+the other files at the end.  A run that fails with a SolverError keeps
+fields.partial.bin, which holds exactly the snapshots reached, and gets a
+partial.json beside it (snapshot count and times) in place of the other
+files.
+
+No timestamps are written anywhere, and the wall-clock times go to
 timing.json alone: repeated identical invocations produce bitwise-identical
 files apart from timing.json.
 """
@@ -36,12 +45,11 @@ from .solver import Trajectory
 
 __all__ = [
     "run_dir_for",
+    "FieldWriter",
     "write_run",
-    "flush_partial",
     "write_monitor_csv",
     "load_summary",
     "load_trajectory",
-    "write_fields_binary",
 ]
 
 FIELD_NAMES = ("n", "p", "c")
@@ -62,20 +70,102 @@ def _grid_manifest(g: Grid) -> dict:
     return {"dimension": g.dim, "lo": g.lo, "hi": g.hi, "cells": g.n, "h": g.h}
 
 
-def write_fields_binary(path, traj: Trajectory) -> list:
-    """Raw little-endian float64 blocks of every snapshot; returns the
-    byte-offset table."""
-    offsets = []
-    with open(path, "wb") as fh:
-        pos = 0
-        for k in range(len(traj)):
-            for name in FIELD_NAMES:
-                block = np.ascontiguousarray(getattr(traj, name)[k], dtype="<f8")
-                fh.write(block.tobytes())
-                offsets.append({"snapshot": k, "field": name, "offset": pos,
-                                "bytes": block.nbytes})
-                pos += block.nbytes
-    return offsets
+PARTIAL_FIELDS = "fields.partial.bin"
+
+
+def write_snapshot(fh, state) -> None:
+    """Append one snapshot's n, p and c to fh as raw little-endian float64."""
+    for name in FIELD_NAMES:
+        fh.write(np.ascontiguousarray(getattr(state, name), dtype="<f8"))
+
+
+class FieldWriter:
+    """A run sink that streams the fields to <out_dir>/fields.partial.bin, one
+    snapshot (n, p, c) at a time as the run reaches it; times are the run's
+    snapshot times.  finish() renames the file to fields.bin once the run has
+    succeeded; after a failure, abort() writes partial.json beside it, so the
+    partial dump holds exactly the snapshots reached.
+
+    An OSError while streaming removes the file and ends the writing;
+    finish() or abort() raises it.  Use it as a context manager: leaving the
+    block closes the file.
+    """
+
+    def __init__(self, out_dir, times):
+        self.out_dir = Path(out_dir)
+        self.times = times
+        self.count = 0              # snapshots written
+        self.error = None
+        self._fh = None
+
+    def __enter__(self) -> "FieldWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __call__(self, k: int, state, snap_dt: float) -> None:
+        if self.error is not None:
+            return
+        try:
+            if self._fh is None:
+                self.out_dir.mkdir(parents=True, exist_ok=True)
+                # a buffer of many 1D snapshots: one write call per megabyte
+                self._fh = open(self.out_dir / PARTIAL_FIELDS, "wb", buffering=1 << 20)
+            write_snapshot(self._fh, state)
+        except OSError as exc:
+            self.error = exc
+            self._discard(PARTIAL_FIELDS)
+            return
+        self.count += 1
+
+    def close(self) -> None:
+        if self._fh is not None:
+            fh, self._fh = self._fh, None
+            fh.close()
+
+    def _discard(self, *names) -> None:
+        """Close the file and remove the named files, as far as possible."""
+        try:
+            self.close()
+        except OSError:
+            pass
+        for name in names:
+            try:
+                (self.out_dir / name).unlink(missing_ok=True)
+            except OSError:
+                pass
+
+    def finish(self) -> None:
+        """Rename the streamed file to fields.bin."""
+        self.close()
+        if self.error is not None:
+            raise self.error
+        os.replace(self.out_dir / PARTIAL_FIELDS, self.out_dir / "fields.bin")
+
+    def abort(self) -> None:
+        """Write partial.json beside the snapshots streamed.  On an OSError,
+        now or while streaming, neither file is left behind and the error
+        propagates."""
+        try:
+            self.close()
+            if self.error is not None:
+                raise self.error
+            with open(self.out_dir / "partial.json", "w", encoding="utf-8") as fh:
+                json.dump({"version": __version__, "snapshots": self.count,
+                           "times": [float(t) for t in self.times[:self.count]],
+                           "note": "aborted run; snapshots up to the failure"}, fh)
+        except OSError:
+            self._discard(PARTIAL_FIELDS, "partial.json")
+            raise
+
+
+def _field_offsets(K: int, g: Grid) -> list:
+    """The byte-offset table of fields.bin: K snapshots of n, p, c."""
+    nbytes = 8 * g.n ** g.dim
+    return [{"snapshot": k, "field": name, "offset": (3 * k + i) * nbytes,
+             "bytes": nbytes}
+            for k in range(K) for i, name in enumerate(FIELD_NAMES)]
 
 
 def write_state_csv(path, traj: Trajectory, k: int) -> None:
@@ -99,8 +189,11 @@ def write_monitor_csv(path, report: MonitorReport) -> None:
 
 
 def write_timing(path, traj: Trajectory) -> None:
-    """Wall-clock runtime and step statistics: the one file of a run that
-    differs between identical invocations.  steps_at_marks counts the steps
+    """Wall-clock times and step statistics: the one file of a run that
+    differs between identical invocations.  runtime_s is the solver's time;
+    monitor_s and write_s are the time of the monitor pass and of the
+    streamed field writes, which the run's snapshots went to as it reached
+    them (so the solver's time excludes them).  steps_at_marks counts the steps
     a snapshot mark cut short; the others took the full step of the rule,
     whose front Courant number is front_courant.
     nutrient_residual_max is the largest relative residual of the run's
@@ -116,68 +209,49 @@ def write_timing(path, traj: Trajectory) -> None:
         "front_courant": traj.meta.get("front_courant"),
         "nutrient_residual_max": traj.meta.get("nutrient_residual_max"),
         "density_window_mean": traj.meta.get("density_window_mean"),
+        "monitor_s": traj.meta.get("monitor_s"),
+        "write_s": traj.meta.get("write_s"),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(timing, fh, indent=1, sort_keys=True)
 
 
 def write_run(out_dir, config_text: str, traj: Trajectory,
-              report: MonitorReport | None) -> Path:
+              report: MonitorReport) -> Path:
+    """Write every file of a finished run but fields.bin, which the run's
+    FieldWriter has streamed; traj holds the run's last snapshot, report
+    its snapshot times."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.echo.cfg").write_text(config_text, encoding="utf-8")
-    offsets = write_fields_binary(out_dir / "fields.bin", traj)
     write_state_csv(out_dir / "final_state.csv", traj, -1)
+    times = report.series["t"]
     manifest = {
         "version": __version__,
         "grid": _grid_manifest(traj.grid),
-        "snapshots": len(traj),
-        "times": [float(t) for t in traj.times],
+        "snapshots": len(times),
+        "times": [float(t) for t in times],
         "fields": list(FIELD_NAMES),
         "dtype": "<f8",
-        "offsets": offsets,
+        "offsets": _field_offsets(len(times), traj.grid),
         "config_hash": config_hash(config_text),
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
     write_timing(out_dir / "timing.json", traj)
-    if report is not None:
-        write_monitor_csv(out_dir / "monitors.csv", report)
-        summary = {
-            "version": __version__,
-            "gamma": traj.params.gamma,
-            "accumulated": {k: float(v) for k, v in report.accum.items()},
-            "meta": {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
-                     for k, v in report.meta.items()},
-            "clipped_mass": float(traj.clipped_mass),
-            "steps": int(traj.meta.get("steps", 0)),
-        }
-        with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=1, sort_keys=True)
+    write_monitor_csv(out_dir / "monitors.csv", report)
+    summary = {
+        "version": __version__,
+        "gamma": traj.params.gamma,
+        "accumulated": {k: float(v) for k, v in report.accum.items()},
+        "meta": {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
+                 for k, v in report.meta.items()},
+        "clipped_mass": float(traj.clipped_mass),
+        "steps": int(traj.meta.get("steps", 0)),
+    }
+    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
+        json.dump(summary, fh, indent=1, sort_keys=True)
     return out_dir
-
-
-def flush_partial(out_dir, traj: Trajectory) -> None:
-    """Dump an aborted run, whose trajectory (the .trajectory of its
-    SolverError) holds the snapshots it reached, as fields.partial.bin and
-    partial.json.  On an OSError neither file is left behind and the error
-    propagates."""
-    out_dir = Path(out_dir)
-    files = (out_dir / "fields.partial.bin", out_dir / "partial.json")
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_fields_binary(files[0], traj)
-        with open(files[1], "w", encoding="utf-8") as fh:
-            json.dump({"version": __version__, "snapshots": len(traj),
-                       "times": [float(t) for t in traj.times],
-                       "note": "aborted run; snapshots up to the failure"}, fh)
-    except OSError:
-        for path in files:
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
-        raise
 
 
 def load_summary(run_dir) -> dict:

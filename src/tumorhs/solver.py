@@ -45,6 +45,12 @@ definite.  Both dimensions solve it directly: a tridiagonal LAPACK solve in
 1D, a diagonal solve in the DST-II basis in 2D.  Steps land exactly on the
 snapshot marks so repeated runs and gamma sweeps share identical output
 times.
+
+A run keeps its whole history in memory, or, given a sink, hands each
+snapshot to it as the run reaches it and keeps only the first and the last:
+limit.run_once streams a run with an output directory to its field writer
+and to the monitor pass that way (Fanout), so memory does not grow with the
+snapshot count.
 """
 
 from __future__ import annotations
@@ -77,6 +83,7 @@ __all__ = [
     "cfl_dt",
     "step_density",
     "step_nutrient",
+    "Fanout",
     "run",
     "barenblatt_convergence",
 ]
@@ -92,11 +99,9 @@ FRONT_COURANT = 0.005
 
 class SolverError(RuntimeError):
     """Fatal integration failure with cell-level diagnostics.  Raised out of
-    run(), it carries the trajectory cut to the snapshots reached; out of
-    limit.run_once, also the directory of the partial dump, if one was
-    written, or the OSError that kept it from being written."""
+    limit.run_once, it also carries the directory of the partial dump, if one
+    was written, or the OSError that kept it from being written."""
 
-    trajectory = None
     partial_dir = None
     partial_error = None
 
@@ -114,12 +119,13 @@ class State:
 
 @dataclass
 class Trajectory:
-    """Time-ordered snapshots at the configured cadence plus the full dt record."""
+    """Time-ordered snapshots at the configured cadence plus the full dt
+    record: every snapshot, or the first and the last of a streamed run."""
 
     grid: Grid
     params: model.ModelParams
     times: np.ndarray          # snapshot times, strictly increasing
-    n: np.ndarray              # (K+1, *grid.shape)
+    n: np.ndarray              # (snapshots, *grid.shape)
     p: np.ndarray
     c: np.ndarray
     snap_dts: np.ndarray       # solver dt active when each snapshot was taken
@@ -478,7 +484,12 @@ def step_density(state: State, dt: float, params: model.ModelParams,
     # n_new is 0 outside the box; initial=0.0 also covers an empty box
     worst = float(nb.min(initial=0.0))
     if not math.isfinite(worst) or worst < -NEG_TOL:
-        k = int(np.argmin(n_new))
+        # the 2D sweeps spread a non-finite input along every line of the
+        # box, so the first such cell of the old n (or of G) is named
+        bad = ~np.isfinite(state.n)
+        if not bad.any():
+            bad = ~np.isfinite(G)
+        k = int(np.argmax(bad)) if bad.any() else int(np.argmin(n_new))
         idx = tuple(int(i) for i in np.unravel_index(k, n_new.shape))
         raise SolverError(
             f"density update out of range at cell {idx}: n={worst:.3e} (t={state.t})")
@@ -523,6 +534,8 @@ class _NutrientSolver:
         self._axes = [(_sl(ax, None, -1, d), _sl(ax, 1, None, d),
                        (slice(None),) * ax + (0,), (slice(None),) * ax + (-1,))
                       for ax in range(d)]
+        # the 2D y axis walks the flattened arrays (contiguous memory)
+        self._flat = self._Au.reshape(-1), self._scratch.reshape(-1)
         if d == 1:
             # the routine solve_banded uses for (1, 1)-banded systems; it
             # overwrites the three diagonals, so they are refilled per solve
@@ -571,15 +584,30 @@ class _NutrientSolver:
         return out
 
     def _residual(self, u, rhs, r):
-        """max |(I - dt*Lap) u - rhs|, with r = dt/h^2."""
+        """max |(I - dt*Lap) u - rhs|, with r = dt/h^2.
+
+        The neighbour terms of axis 0 run over whole rows.  Those of the 2D
+        y axis are subtracted along the flattened arrays, where the terms
+        that would cross from one row into the next are masked to +0: x - 0
+        is x, so each cell sees the operations of the per-axis stencil, in
+        the same order, to the bit, on contiguous memory.
+        """
         Au, ru = self._Au, self._scratch
         np.multiply(u, 1.0 + 2.0 * u.ndim * r, out=Au)
         np.multiply(u, r, out=ru)
-        for lo, hi, first, last in self._axes:
+        for ax, (lo, hi, first, last) in enumerate(self._axes):
             Au[first] += ru[first]
             Au[last] += ru[last]
-            Au[hi] -= ru[lo]
-            Au[lo] -= ru[hi]
+            if ax == 0:
+                Au[hi] -= ru[lo]
+                Au[lo] -= ru[hi]
+            else:
+                flat_Au, flat_ru = self._flat
+                ru[last] = 0.0                      # row i's last cell into row i+1
+                flat_Au[1:] -= flat_ru[:-1]
+                np.multiply(u[last], r, out=ru[last])
+                ru[first] = 0.0                     # row i+1's first cell into row i
+                flat_Au[:-1] -= flat_ru[1:]
         Au -= rhs
         return float(np.abs(Au, out=Au).max())
 
@@ -673,57 +701,79 @@ def _step(state: State, t_stop: float, setup: RunSetup, buffers,
     return state, dt, clipped, at_mark
 
 
-def run(setup: RunSetup) -> Trajectory:
+class Fanout:
+    """A run sink that hands each snapshot to several consumers, in the order
+    given, each called as a sink itself; seconds[name] totals the
+    perf_counter time of each consumer, with the calls made through timed()."""
+
+    def __init__(self, **consumers):
+        self.consumers = consumers
+        self.seconds = dict.fromkeys(consumers, 0.0)
+
+    def __call__(self, k: int, state: State, snap_dt: float) -> None:
+        for name, consume in self.consumers.items():
+            self.timed(name, consume, k, state, snap_dt)
+
+    def timed(self, name: str, fn, *args):
+        """fn(*args), its time counted to consumer name."""
+        t0 = _time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            self.seconds[name] += _time.perf_counter() - t0
+
+
+def run(setup: RunSetup, sink=None) -> Trajectory:
     """Advance from t = 0 to T, landing exactly on every snapshot mark.
 
-    On a step failure the trajectory is cut to the snapshots reached and
-    attached to the SolverError as its .trajectory before it is re-raised;
-    run writes no files.
+    Without a sink the trajectory holds every snapshot.  With one, the run
+    calls sink(k, state, snap_dt) at each mark k = 0 .. K-1 as it reaches
+    it, with the state there and the solver dt active when it was taken (0
+    at k = 0), and the trajectory holds only the first and the last
+    snapshot; its dts and meta are those of the whole run either way.  The
+    sink may keep the state's arrays, which no later step writes into, and
+    its time is not counted in meta["runtime_s"].  run writes no files.
     """
     g, params = setup.grid, setup.params
     marks = snapshot_times(setup.T, setup.snapshot_dt)
-    K = len(marks)
     state = _initial_state(setup)
 
-    shape = (K,) + g.shape
-    traj = Trajectory(grid=g, params=params, times=marks.copy(),
+    # the whole history, or the first and the last snapshot alone
+    kept = np.arange(len(marks)) if sink is None else np.unique([0, len(marks) - 1])
+    shape = (len(kept),) + g.shape
+    traj = Trajectory(grid=g, params=params, times=marks[kept],
                       n=np.zeros(shape), p=np.zeros(shape), c=np.zeros(shape),
-                      snap_dts=np.zeros(K), dts=np.zeros(0),
+                      snap_dts=np.zeros(len(kept)), dts=np.zeros(0),
                       clipped_mass=0.0)
-    traj.n[0], traj.p[0], traj.c[0] = state.n, state.p, state.c
-
     buffers, nut = _ImplicitDensity(g), _NutrientSolver(g)
     dts = []
     clipped_total = 0.0
     at_marks = 0
-    done = 1
+    sink_s = 0.0
     wall0 = _time.perf_counter()
-    try:
-        for k, mark in enumerate(marks.tolist()[1:], start=1):
-            last_dt = 0.0
-            while state.t < mark - 1e-14:
-                state, last_dt, clipped, at_mark = _step(state, mark, setup, buffers, nut)
-                clipped_total += clipped
-                at_marks += at_mark
-                dts.append(last_dt)
-            traj.n[k], traj.p[k], traj.c[k] = state.n, state.p, state.c
-            traj.snap_dts[k] = last_dt
-            done = k + 1
-    except SolverError as exc:
-        for name in ("times", "n", "p", "c", "snap_dts"):
-            setattr(traj, name, getattr(traj, name)[:done])
-        exc.trajectory = traj
-        raise
-    finally:
-        traj.dts = np.asarray(dts)
-        traj.clipped_mass = clipped_total
-        traj.meta["runtime_s"] = _time.perf_counter() - wall0
-        traj.meta["steps"] = len(dts)
-        traj.meta["steps_at_marks"] = at_marks
-        traj.meta["front_courant"] = FRONT_COURANT
-        traj.meta["nutrient_residual_max"] = nut.residual_max
-        traj.meta["density_window_mean"] = (
-            buffers.cells / (len(dts) * math.prod(g.shape)) if g.dim == 2 and dts else None)
+    for k, mark in enumerate(marks.tolist()):
+        last_dt = 0.0
+        while state.t < mark - 1e-14:
+            state, last_dt, clipped, at_mark = _step(state, mark, setup, buffers, nut)
+            clipped_total += clipped
+            at_marks += at_mark
+            dts.append(last_dt)
+        if sink is not None:
+            t0 = _time.perf_counter()
+            sink(k, state, last_dt)
+            sink_s += _time.perf_counter() - t0
+        j = min(k, len(kept) - 1)
+        traj.n[j], traj.p[j], traj.c[j] = state.n, state.p, state.c
+        traj.snap_dts[j] = last_dt
+    traj.dts = np.asarray(dts)
+    traj.clipped_mass = clipped_total
+    traj.meta["runtime_s"] = _time.perf_counter() - wall0 - sink_s
+    traj.meta["steps"] = len(dts)
+    traj.meta["steps_at_marks"] = at_marks
+    traj.meta["front_courant"] = FRONT_COURANT
+    traj.meta["nutrient_residual_max"] = nut.residual_max
+    traj.meta["density_window_mean"] = (
+        buffers.cells / (len(dts) * math.prod(g.shape)) if g.dim == 2 and dts else None)
     return traj
 
 

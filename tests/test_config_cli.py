@@ -240,7 +240,8 @@ def test_repeated_runs_bitwise_identical(tmp_path):
     timing = json.loads((a / "timing.json").read_text())
     assert set(timing) == {"runtime_s", "steps", "dt_min", "dt_max", "steps_at_marks",
                            "front_courant", "nutrient_residual_max",
-                           "density_window_mean"}
+                           "density_window_mean", "monitor_s", "write_s"}
+    assert timing["monitor_s"] > 0.0 and timing["write_s"] > 0.0
     assert 0.0 < timing["dt_min"] <= timing["dt_max"]
     assert 0 < timing["steps_at_marks"] <= timing["steps"]
     assert timing["front_courant"] == solver.FRONT_COURANT
@@ -293,12 +294,11 @@ def test_run_failure_is_one_line_and_an_exit_code(tmp_path, capsys, flags, code)
 
 def test_failed_partial_dump_is_reported_and_leaves_no_file(tmp_path, capsys,
                                                             monkeypatch):
-    def full_disk(path, traj):
-        with open(path, "wb") as fh:
-            fh.write(bytes(8))              # a truncated first block
+    def full_disk(fh, state):
+        fh.write(bytes(8))                  # a truncated first block
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(runio, "write_fields_binary", full_disk)
+    monkeypatch.setattr(runio, "write_snapshot", full_disk)
     cfg_path = tmp_path / "wall.cfg"
     cfg_path.write_text(WALL_REACHING, encoding="utf-8")
     out = tmp_path / "runs"

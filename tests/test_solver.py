@@ -142,7 +142,7 @@ def test_negative_update_aborts_with_cell():
     n[g.n // 2, g.n // 2] = 0.8
     st_ = make_state(g, params, n)
     st_.n[10, 20] = np.nan
-    with pytest.raises(SolverError, match=r"out of range at cell \(\d+, \d+\): n=nan"):
+    with pytest.raises(SolverError, match=r"out of range at cell \(10, 20\): n=nan"):
         step_density(st_, 1e-3, params, spec)
 
 
@@ -523,6 +523,40 @@ def test_nutrient_residual_check_catches_a_wrong_solution(dim):
         nut.solve(rhs, 1e-3)
 
 
+def strided_residual(u, rhs, r):
+    """|(I - dt*Lap) u - rhs| per cell, r = dt/h^2: the residual check's
+    stencil with each axis's neighbour terms on that axis's slices."""
+    d = u.ndim
+    Au = u * (1.0 + 2.0 * d * r)
+    ru = u * r
+    for ax in range(d):
+        lo = (slice(None),) * ax + (slice(None, -1),)
+        hi = (slice(None),) * ax + (slice(1, None),)
+        first, last = (slice(None),) * ax + (0,), (slice(None),) * ax + (-1,)
+        Au[first] += ru[first]
+        Au[last] += ru[last]
+        Au[hi] -= ru[lo]
+        Au[lo] -= ru[hi]
+    Au -= rhs
+    return np.abs(Au)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_residual_check_walks_the_last_axis_with_the_same_bits(dim):
+    # the last axis runs along the flattened array, its row-crossing terms
+    # masked to +0: every cell must see the per-axis stencil's bits
+    g = Grid.symmetric(dim, 1.0, 24)
+    rng = np.random.default_rng(10 + dim)
+    nut = solver._NutrientSolver(g)
+    for r in (1e-3, 0.37, 25.0):
+        u = rng.uniform(-1.0, 1.0, g.shape)
+        rhs = rng.uniform(-1.0, 1.0, g.shape)
+        want = strided_residual(u, rhs, r)
+        got = nut._residual(u, rhs, r)
+        assert got == float(want.max())
+        assert np.array_equal(nut._Au, want)     # the check leaves |Au - rhs| there
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_nutrient_residual_check_catches_nan(dim):
     g = Grid.symmetric(dim, 1.0, 24)
@@ -669,7 +703,7 @@ def test_initial_data_validation():
 def test_partial_flush_on_failure(tmp_path):
     params = model.ModelParams(gamma=6.0)
     # negative consumption pumps the nutrient above c_B: the per-step state
-    # check trips, and the error carries the trajectory cut to what was reached
+    # check trips, and the streamed file holds the snapshots reached
     def zero(x):
         return np.zeros_like(np.asarray(x, dtype=float))
     spec = model.ReactionSpec(G=lambda p, c: zero(p),
@@ -680,13 +714,12 @@ def test_partial_flush_on_failure(tmp_path):
     setup = RunSetup(grid=g, params=params, spec=spec, n0=n0,
                      c0=solver.nutrient_uniform(g, params), T=0.1,
                      snapshot_dt=0.01)
-    with pytest.raises(SolverError) as err:
-        run(setup)
+    times = solver.snapshot_times(setup.T, setup.snapshot_dt)
+    with runio.FieldWriter(tmp_path / "aborted", times) as fields:
+        with pytest.raises(SolverError):
+            run(setup, sink=fields)
+        fields.abort()
     # the first step fails, so only the initial snapshot was reached
-    traj = err.value.trajectory
-    assert traj.times.tolist() == [0.0] and len(traj.snap_dts) == 1
-    assert traj.meta["steps"] == 0 and len(traj.dts) == 0
-    runio.flush_partial(tmp_path / "aborted", traj)
     partial = json.loads((tmp_path / "aborted" / "partial.json").read_text())
     assert partial["snapshots"] == 1 and partial["times"] == [0.0]
     blocks = np.fromfile(tmp_path / "aborted" / "fields.partial.bin", dtype="<f8")
@@ -728,12 +761,9 @@ def test_partial_flush_holds_the_snapshots_reached(tmp_path, monkeypatch):
     with pytest.raises(SolverError, match="injected") as err:
         limit.run_once(cfg, out_root=tmp_path)
     # snapshots 0, 2e-3, 4e-3 and 6e-3 were reached
-    traj = err.value.trajectory
-    for name in ("times", "n", "p", "c", "snap_dts"):
-        assert np.array_equal(getattr(traj, name), getattr(full, name)[:4]), name
-    steps = traj.meta["steps"]
-    assert np.array_equal(traj.dts, full.dts[:steps]) and steps > 0
+    assert err.value.partial_dir is not None
     run_dir, = tmp_path.iterdir()
+    assert err.value.partial_dir == run_dir
     assert sorted(p.name for p in run_dir.iterdir()) == ["fields.partial.bin",
                                                           "partial.json"]
     partial = json.loads((run_dir / "partial.json").read_text())
