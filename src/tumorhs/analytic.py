@@ -137,7 +137,7 @@ class BarrierParams:
 
     def __post_init__(self):
         if self.S0 <= 0:
-            raise ValueError("S0 must be positive")
+            raise ValueError("barrier S0 must be positive")
         if self.rate <= 0:
             raise ValueError("barrier requires G(0, c_B) > 0")
 
@@ -148,7 +148,11 @@ class BarrierParams:
 
 
 def barrier_radius(t, prm: BarrierParams) -> float:
-    return math.sqrt(2.0 * prm.S0 * math.exp(prm.rate * float(t)))
+    """sqrt(2 S(t)); inf once S(t) overflows a float."""
+    try:
+        return math.sqrt(2.0 * prm.S0 * math.exp(prm.rate * float(t)))
+    except OverflowError:
+        return math.inf
 
 
 def barrier_check(trajectory, prm: BarrierParams,

@@ -1,17 +1,22 @@
 """Experiment configuration: plain-text `key = value` files with [section]
-headers, a closed schema (unknown keys are errors, each with its line number),
-and full validation before any run starts.
+headers and a closed schema (unknown keys are errors, each with its line
+number).
 
 Environment variables with the prefix TUMORHS_ override single keys, e.g.
-TUMORHS_MODEL__GAMMA=40 sets [model] gamma.  parse_config returns a fully
-populated ExperimentConfig; build_setup turns it (plus an optional gamma
-override for sweeps) into a solver.RunSetup and the space-time test bump the
-monitors use.
+TUMORHS_MODEL__GAMMA=40 sets [model] gamma.  read_config_text reads a config
+(schema, casts and overrides) into a fully populated ExperimentConfig;
+parse_config_text reads it and then validates it by building the run.
+build_setup turns a config (plus an optional gamma override for sweeps) into
+a solver.RunSetup and the space-time test bump the monitors use; each value
+is checked once, by the constructor or builder that uses it, and validation
+turns the first such error into a ConfigError.  The rules no builder owns
+live here: the reaction assumptions, the sweep gammas and the barrier's fit
+in the box.  Every config error is thus a ConfigError raised before any run
+starts.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -145,7 +150,10 @@ def _parse_lines(text: str):
     return entries, errors
 
 
-def parse_config_text(text: str, env: dict | None = None) -> ExperimentConfig:
+def read_config_text(text: str, env: dict | None = None) -> ExperimentConfig:
+    """The config as written: schema and casts, with the env overrides
+    applied, but no rule on the values (a run directory's echo is reloaded
+    this way)."""
     entries, errors = _parse_lines(text)
     values = {sec: {k: default for k, (_, default) in keys.items()}
               for sec, keys in _SCHEMA.items()}
@@ -178,7 +186,11 @@ def parse_config_text(text: str, env: dict | None = None) -> ExperimentConfig:
             errors.append((None, f"override {name}: {exc}"))
     if errors:
         raise ConfigError(errors)
-    cfg = ExperimentConfig(values=values)
+    return ExperimentConfig(values=values)
+
+
+def parse_config_text(text: str, env: dict | None = None) -> ExperimentConfig:
+    cfg = read_config_text(text, env)
     _validate(cfg)
     return cfg
 
@@ -189,92 +201,50 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    errors = []
-    v = cfg.values
+    """The rules no builder owns, then the run itself: build_setup checks
+    every value it uses, and its first error becomes a ConfigError entry.
+    It builds only on reactions that meet the model's assumptions, so no
+    warmup runs on reactions that do not."""
     try:
         params = _model_params(cfg)
+        spec = reaction_spec(cfg, params)
     except ValueError as exc:
-        raise ConfigError([(None, str(exc))])
-    family = v["reactions"]["family"]
-    if family not in ("default", "off"):
-        errors.append((None, f"unknown reaction family {family!r}"))
-    if family == "default":
-        spec = model.default_reactions(params, c_star=v["model"]["c_star"])
-        report = model.validate(params, spec)
-        if not report.passed:
-            for name, point, value in report.failures:
-                errors.append((None, f"reaction assumption violated: {name} "
-                                     f"(worst {value:.3e} at {point})"))
-    d = v["grid"]["dimension"]
-    if d not in (1, 2):
-        errors.append((None, "grid dimension must be 1 or 2"))
-    if v["grid"]["cells"] < 8:
-        errors.append((None, "at least 8 cells per axis required"))
-    if params.gamma <= params.gamma_floor(d if d in (1, 2) else 1):
-        errors.append((None, "gamma must exceed max(1, 2 - 4/d)"))
-    for g_sweep in v["sweep"]["gammas"]:
-        if g_sweep <= params.gamma_floor(d if d in (1, 2) else 1):
-            errors.append((None, f"sweep gamma {g_sweep} below the admissible floor"))
-    if list(v["sweep"]["gammas"]) != sorted(set(v["sweep"]["gammas"])):
+        raise ConfigError([(None, str(exc))]) from None
+    failures = model.validate(params, spec).failures if spec.family == "default" else []
+    errors = [(None, f"reaction assumption violated: {name} (worst {value:.3e} at {point})")
+              for name, point, value in failures]
+    gammas = cfg.values["sweep"]["gammas"]
+    for g in gammas:
+        try:
+            _model_params(cfg, g)
+        except ValueError as exc:
+            errors.append((None, f"sweep gamma {g:g}: {exc}"))
+    if list(gammas) != sorted(set(gammas)):
         errors.append((None, "sweep gammas must be strictly increasing"))
-
-    T = v["time"]["horizon"]
-    snap = v["time"]["snapshot_dt"]
-    if T < 0:
-        errors.append((None, "time horizon must be nonnegative"))
-    if T > 0:
-        if snap <= 0:
-            errors.append((None, "snapshot_dt must be positive"))
-        else:
-            k = round(T / snap)
-            if k < 1 or abs(k * snap - T) > 1e-9 * max(T, 1.0):
-                errors.append((None, "horizon must be an integer multiple of snapshot_dt"))
-    if not 0.0 < v["time"]["cfl_safety"] <= 1.0:
-        errors.append((None, "cfl_safety must lie in (0, 1]"))
-
-    L = v["grid"]["box_half_width"]
-
-    ini = v["initial"]
-    if ini["builder"] not in ("plateau", "prerelaxed", "barenblatt", "file"):
-        errors.append((None, f"unknown initial builder {ini['builder']!r}"))
-    if ini["builder"] in ("plateau", "prerelaxed"):
-        if not 0.0 < ini["theta"] < 1.0:
-            errors.append((None, "initial theta must lie in (0, 1)"))
-        if not 0.0 < ini["edge_width"] < ini["radius"]:
-            errors.append((None, "need 0 < edge_width < radius"))
-        if ini["height"] not in ("pressure", "density"):
-            errors.append((None, "initial height must be 'pressure' or 'density'"))
-    if not 0.0 <= ini["nutrient_deficit_depth"] <= 1.0:
-        errors.append((None, "nutrient_deficit_depth must lie in [0, 1]"))
-
-    # support containment against the barrier ball at the final time
-    if family == "default" and T > 0 and ini["builder"] != "file":
-        spec = model.default_reactions(params, c_star=v["model"]["c_star"])
-        support = _initial_support_radius(cfg)
-        S0 = v["barrier"]["s0"] or 0.5 * (v["barrier"]["radius_slack"] * support) ** 2
-        G0 = float(spec.G(0.0, params.c_B))
-        if G0 <= 0:
-            errors.append((None, "barrier requires G(0, c_B) > 0"))
-        else:
-            barrier_T = math.sqrt(2.0 * S0 * math.exp(2.0 * G0 * T))
-            if support > math.sqrt(2.0 * S0):
-                errors.append((None, "initial support exceeds the barrier ball sqrt(2 S0)"))
-            if support + barrier_T > L:
-                errors.append((None,
-                               f"box half-width {L:g} too small: initial support {support:g} "
-                               f"plus barrier radius {barrier_T:g} at the horizon must fit"))
-
-    zc = v["monitors"]["zeta_center"]
-    zr = v["monitors"]["zeta_radius"]
-    if v["monitors"]["selection"] == "all" and T > 0:
-        if not (-L < zc - zr and zc + zr < L):
-            errors.append((None, "zeta support is not strictly inside the box"))
-        t0 = v["monitors"]["zeta_t_center"] - v["monitors"]["zeta_t_halfwidth"]
-        t1 = v["monitors"]["zeta_t_center"] + v["monitors"]["zeta_t_halfwidth"]
-        if not (0.0 < t0 and t1 < T):
-            errors.append((None, "zeta time window is not strictly inside (0, T)"))
+    if not failures:
+        try:
+            setup = build_setup(cfg)[0]
+            if spec.family == "default" and setup.T > 0 \
+                    and cfg.values["initial"]["builder"] != "file":
+                _check_barrier_fit(cfg, spec, setup.T)
+        except (ValueError, OSError, solver.SolverError) as exc:
+            errors.append((None, str(exc)))
     if errors:
         raise ConfigError(errors)
+
+
+def _check_barrier_fit(cfg: ExperimentConfig, spec, T: float) -> None:
+    """The support barrier of the configured S0 must hold the initial
+    support, and the box must hold the initial support plus the barrier
+    radius at the horizon."""
+    support = _initial_support_radius(cfg)
+    prm = analytic.BarrierParams.for_run(_barrier_s0(cfg), spec)
+    if support > analytic.barrier_radius(0.0, prm):
+        raise ValueError("initial support exceeds the barrier ball sqrt(2 S0)")
+    L, barrier_T = cfg.values["grid"]["box_half_width"], analytic.barrier_radius(T, prm)
+    if support + barrier_T > L:
+        raise ValueError(f"box half-width {L:g} too small: initial support {support:g} "
+                         f"plus barrier radius {barrier_T:g} at the horizon must fit")
 
 
 def _model_params(cfg: ExperimentConfig, gamma_override: float | None = None):
@@ -300,9 +270,18 @@ def _initial_support_radius(cfg: ExperimentConfig) -> float:
 
 
 def reaction_spec(cfg: ExperimentConfig, params) -> model.ReactionSpec:
-    if cfg.values["reactions"]["family"] == "off":
+    family = cfg.values["reactions"]["family"]
+    if family == "off":
         return solver.reactions_off(params)
-    return model.default_reactions(params, c_star=cfg.values["model"]["c_star"])
+    if family == "default":
+        return model.default_reactions(params, c_star=cfg.values["model"]["c_star"])
+    raise ValueError(f"unknown reaction family {family!r}")
+
+
+def _barrier_s0(cfg: ExperimentConfig) -> float:
+    """[barrier] s0, or the one derived from the initial support radius."""
+    bv = cfg.values["barrier"]
+    return bv["s0"] or 0.5 * (bv["radius_slack"] * _initial_support_radius(cfg)) ** 2
 
 
 def barrier_params(cfg: ExperimentConfig, setup) -> analytic.BarrierParams | None:
@@ -316,9 +295,7 @@ def barrier_params(cfg: ExperimentConfig, setup) -> analytic.BarrierParams | Non
     """
     if cfg.values["reactions"]["family"] == "off":
         return None
-    support = _initial_support_radius(cfg)
-    S0 = cfg.values["barrier"]["s0"] or \
-        0.5 * (cfg.values["barrier"]["radius_slack"] * support) ** 2
+    S0 = _barrier_s0(cfg)
     spec = setup.spec
     G0 = float(spec.G(0.0, spec.params.c_B))
     p0 = model.pressure_from_density(setup.n0, setup.params.gamma)
@@ -331,8 +308,11 @@ def barrier_params(cfg: ExperimentConfig, setup) -> analytic.BarrierParams | Non
 
 def build_setup(cfg: ExperimentConfig, gamma_override: float | None = None):
     """RunSetup, test bump and weight flag for one run of this experiment:
-    selection = all turns on both extras (the bump only when T > 0), direct
-    neither."""
+    selection = all turns on both extras (the bump only when T > 0, with its
+    support strictly inside the box and (0, T)), direct neither.  Each value
+    is checked by the constructor or builder that uses it, which raises a
+    ValueError (an OSError for an unreadable initial-data file, a
+    solver.SolverError for a failed warmup)."""
     params = _model_params(cfg, gamma_override)
     spec = reaction_spec(cfg, params)
     gv = cfg.values["grid"]
@@ -353,8 +333,8 @@ def build_setup(cfg: ExperimentConfig, gamma_override: float | None = None):
     elif ini["builder"] == "file":
         n0, p0 = solver.initial_from_csv(g, params, ini["file"])
     else:
-        raise ConfigError([(None, f"unknown builder {ini['builder']!r}")])
-    if ini["nutrient_deficit_depth"] > 0.0:
+        raise ValueError(f"unknown initial builder {ini['builder']!r}")
+    if ini["nutrient_deficit_depth"] != 0.0:       # nutrient_deficit checks it
         c0 = solver.nutrient_deficit(g, params, ini["nutrient_deficit_depth"],
                                      ini["nutrient_deficit_radius"])
     else:
@@ -371,6 +351,7 @@ def build_setup(cfg: ExperimentConfig, gamma_override: float | None = None):
                             radius=mv["zeta_radius"],
                             t_center=mv["zeta_t_center"],
                             t_halfwidth=mv["zeta_t_halfwidth"])
+        zeta.check_support(g, tv["horizon"])
     return setup, zeta, extras
 
 

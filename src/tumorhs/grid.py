@@ -240,15 +240,15 @@ class TestFunction:
 
     def __post_init__(self):
         if self.radius <= 0 or self.t_halfwidth <= 0:
-            raise ValueError("radius and t_halfwidth must be positive")
+            raise ValueError("zeta radius and t_halfwidth must be positive")
 
     def check_support(self, grid: Grid, T: float) -> None:
         for c in self.center:
             if not (grid.lo < c - self.radius and c + self.radius < grid.hi):
-                raise ValueError("test function support is not strictly inside the box")
+                raise ValueError("zeta support is not strictly inside the box")
         if not (0.0 < self.t_center - self.t_halfwidth
                 and self.t_center + self.t_halfwidth < T):
-            raise ValueError("test function support is not strictly inside (0, T)")
+            raise ValueError("zeta time window is not strictly inside (0, T)")
 
     def _s_space(self, grid: Grid) -> np.ndarray:
         r2 = sum((x - c) ** 2 for x, c in zip(grid.coords, self.center))

@@ -78,10 +78,6 @@ class ModelParams:
     def n_H(self) -> float:
         return self.p_H ** (1.0 / self.gamma)
 
-    def gamma_floor(self, dim: int) -> float:
-        """Minimal admissible gamma when the one-sided Laplacian monitors run."""
-        return max(1.0, 2.0 - 4.0 / dim)
-
 
 @dataclass(frozen=True)
 class ReactionSpec:

@@ -6,7 +6,8 @@ ever silently overwritten with different content:
 
     <out>/<hash12>/
         config.echo.cfg    effective configuration (defaults filled in)
-        manifest.json      version stamp, grid, snapshot count, byte offsets
+        manifest.json      version stamp, grid, snapshot count and times,
+                           field names, dtype and config hash
         fields.bin         raw little-endian float64 blocks (n, p, c per snapshot)
         final_state.csv    last snapshot as text (coordinates, n, p, c)
         monitors.csv       per-snapshot monitor rows (t, dt, then one column each)
@@ -15,6 +16,10 @@ ever silently overwritten with different content:
                            steps cut short by a snapshot mark, 1D front rule,
                            largest nutrient solve residual, mean 2D density box,
                            time of the monitor pass and of the field writes
+
+The layout of fields.bin follows from the manifest: snapshot k holds the
+fields in the listed order, each a C-order block of the grid's cells, so a
+field starts at byte (len(fields) * k + i) * cells**dimension * 8.
 
 fields.bin is streamed: a FieldWriter, one of the sinks of solver.run,
 appends each snapshot to fields.partial.bin as the run reaches it, and the
@@ -160,14 +165,6 @@ class FieldWriter:
             raise
 
 
-def _field_offsets(K: int, g: Grid) -> list:
-    """The byte-offset table of fields.bin: K snapshots of n, p, c."""
-    nbytes = 8 * g.n ** g.dim
-    return [{"snapshot": k, "field": name, "offset": (3 * k + i) * nbytes,
-             "bytes": nbytes}
-            for k in range(K) for i, name in enumerate(FIELD_NAMES)]
-
-
 def write_state_csv(path, traj: Trajectory, k: int) -> None:
     """One snapshot as text: coordinates, then n, p, c per cell."""
     g = traj.grid
@@ -233,7 +230,6 @@ def write_run(out_dir, config_text: str, traj: Trajectory,
         "times": [float(t) for t in times],
         "fields": list(FIELD_NAMES),
         "dtype": "<f8",
-        "offsets": _field_offsets(len(times), traj.grid),
         "config_hash": config_hash(config_text),
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
@@ -276,7 +272,7 @@ def load_trajectory(run_dir) -> Trajectory:
     summary = {}
     if (run_dir / "summary.json").exists():
         summary = load_summary(run_dir)
-    cfg = config.parse_config_text(
+    cfg = config.read_config_text(
         (run_dir / "config.echo.cfg").read_text(encoding="utf-8"), env={})
     params = config._model_params(cfg, summary.get("gamma"))
     return Trajectory(grid=g, params=params,

@@ -153,6 +153,11 @@ class RunSetup:
     snapshot_dt: float
     cfl_safety: float = 0.4
 
+    def __post_init__(self):
+        snapshot_times(self.T, self.snapshot_dt)
+        if not 0.0 < self.cfl_safety <= 1.0:
+            raise ValueError("cfl_safety must lie in (0, 1]")
+
 
 # ---------------------------------------------------------------------------
 # initial data builders
@@ -277,7 +282,9 @@ def nutrient_deficit(g: Grid, params: model.ModelParams, depth: float,
                      radius: float) -> np.ndarray:
     """c0 = c_B * (1 - depth * bump(|x|/radius)); keeps 0 <= c0 <= c_B for depth <= 1."""
     if not 0.0 <= depth <= 1.0:
-        raise ValueError("depth in [0, 1] required")
+        raise ValueError("nutrient deficit depth in [0, 1] required")
+    if not radius > 0.0:
+        raise ValueError("nutrient deficit radius > 0 required")
     s = g.radius / radius
     bump = np.zeros(g.shape)
     inside = s < 1.0
@@ -655,8 +662,14 @@ def _check_state(state: State, params: model.ModelParams) -> None:
 # ---------------------------------------------------------------------------
 
 def snapshot_times(T: float, snapshot_dt: float) -> np.ndarray:
+    """The snapshot marks 0, snapshot_dt, ..., T; a zero horizon has the
+    one mark 0."""
+    if not T >= 0.0:
+        raise ValueError(f"time horizon must be nonnegative, got {T}")
     if T == 0.0:
         return np.array([0.0])
+    if not snapshot_dt > 0.0:
+        raise ValueError(f"snapshot_dt must be positive, got {snapshot_dt}")
     k = round(T / snapshot_dt)
     if k < 1 or abs(k * snapshot_dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError("T must be an integer multiple of the snapshot cadence")

@@ -12,6 +12,7 @@ import pytest
 from tumorhs import config as config_mod
 from tumorhs import analytic, cli, limit, runio, solver
 from tumorhs.config import ConfigError, parse_config_text
+from tumorhs.grid import Grid
 
 STANDARD_CFG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "standard1d.cfg"
 
@@ -178,6 +179,83 @@ def test_horizon_must_be_multiple_of_cadence():
         parse_config_text(off, env={})
 
 
+def _schema_cases():
+    """Single-key env overrides of MINIMAL: every numeric key of the schema
+    at -1, 0 and 2, under each builder and with reactions on and off (no 2D
+    prerelaxed, whose warmup is slow), plus a deep nutrient deficit of
+    negative radius and a missing initial-data file."""
+    for builder in ("plateau", "prerelaxed", "barenblatt"):
+        for family in ("default", "off"):
+            base = {"TUMORHS_INITIAL__BUILDER": builder, "TUMORHS_REACTIONS__FAMILY": family}
+            for section, keys in config_mod._SCHEMA.items():
+                for key, (caster, _) in keys.items():
+                    if caster not in (float, int):
+                        continue
+                    for value in ("-1", "0", "2"):
+                        if (builder, key, value) != ("prerelaxed", "dimension", "2"):
+                            yield {**base, f"TUMORHS_{section}__{key}".upper(): value}
+            yield {**base, "TUMORHS_INITIAL__NUTRIENT_DEFICIT_DEPTH": "0.5",
+                   "TUMORHS_INITIAL__NUTRIENT_DEFICIT_RADIUS": "-1"}
+    for family in ("default", "off"):
+        yield {"TUMORHS_INITIAL__BUILDER": "file", "TUMORHS_REACTIONS__FAMILY": family,
+               "TUMORHS_INITIAL__FILE": "no-such-dir/n0.csv"}
+
+
+def test_every_parsed_config_builds():
+    # a config either fails to parse with a ConfigError or builds its run
+    escaped = []
+    for env in _schema_cases():
+        try:
+            cfg = parse_config_text(MINIMAL, env=env)
+        except ConfigError:
+            continue
+        try:
+            config_mod.build_setup(cfg)
+        except Exception as exc:   # noqa: BLE001 - collect every escape
+            escaped.append((env, repr(exc)))
+    assert not escaped
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("REACTIONS__FAMILY", "mystery", "unknown reaction family 'mystery'"),
+    ("INITIAL__BUILDER", "mystery", "unknown initial builder 'mystery'"),
+    ("INITIAL__NUTRIENT_DEFICIT_DEPTH", "-0.5", "depth in \\[0, 1\\]"),
+    ("SWEEP__GAMMAS", "8, 0.5", "sweep gamma 0.5: gamma > 1"),
+    ("SWEEP__GAMMAS", "16, 8", "strictly increasing"),
+    ("TIME__HORIZON", "1000", "plus barrier radius inf at the horizon"),
+])
+def test_each_rule_is_a_config_error(key, value, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config_text(MINIMAL, env={f"TUMORHS_{key}": value})
+
+
+def test_no_build_on_reactions_that_fail_the_assumptions(monkeypatch):
+    built = []
+    monkeypatch.setattr(config_mod, "build_setup", lambda cfg: built.append(cfg))
+    with pytest.raises(ConfigError, match="reaction assumption violated"):
+        parse_config_text(MINIMAL, env={"TUMORHS_MODEL__C_STAR": "2"})
+    assert built == []
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("env, match", [
+    ({"MONITORS__ZETA_RADIUS": "-1"}, "zeta"),
+    ({"BARRIER__S0": "-1"}, "barrier S0 must be positive"),
+    ({"INITIAL__BUILDER": "prerelaxed", "INITIAL__RELAX_TIME": "-1"}, "t_relax"),
+])
+def test_config_error_is_reported_before_any_run(tmp_path, capsys, monkeypatch,
+                                                 command, env, match):
+    cfg_path = tmp_path / "mini.cfg"
+    cfg_path.write_text(MINIMAL, encoding="utf-8")
+    for key, value in env.items():
+        monkeypatch.setenv(f"TUMORHS_{key}", value)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    err, = capsys.readouterr().err.splitlines()
+    assert err.startswith("config error: ") and match in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # run directory layout and binary round trip
 # ---------------------------------------------------------------------------
@@ -201,6 +279,11 @@ def test_run_directory_layout_and_roundtrip(tmp_path, monkeypatch):
     import tumorhs
     manifest = json.loads((d / "manifest.json").read_text())
     assert manifest["version"] == tumorhs.__version__
+    assert sorted(manifest) == ["config_hash", "dtype", "fields", "grid", "snapshots",
+                                "times", "version"]
+    # the layout follows from the manifest: one block per snapshot and field
+    assert (d / "fields.bin").stat().st_size == (
+        manifest["snapshots"] * len(manifest["fields"]) * manifest["grid"]["cells"] * 8)
     traj = runio.load_trajectory(d)
     assert len(traj) == manifest["snapshots"]
     assert np.all(np.isfinite(traj.n))
@@ -221,6 +304,26 @@ def test_reload_restores_every_model_parameter(tmp_path):
     # without summary.json gamma comes from the echoed config too
     (d / "summary.json").unlink()
     assert runio.load_trajectory(d).params == expected
+
+
+def test_reload_does_not_reread_the_initial_data_file(tmp_path):
+    # the echo names a CSV that has since gone: reloading reads the config
+    # as written and builds nothing
+    g = Grid.symmetric(1, 2.6, 96)
+    params = config_mod._model_params(parse_config_text(MINIMAL, env={}))
+    n0, _ = solver.initial_plateau(g, params, theta=0.4, radius=0.6, edge=0.25)
+    csv = tmp_path / "n0.csv"
+    np.savetxt(csv, np.column_stack([g.coords[0], n0]), delimiter=",",
+               header="x0,value", comments="", fmt="%.17g")
+    cfg_path = tmp_path / "file.cfg"
+    cfg_path.write_text(MINIMAL.replace("builder = plateau", f"builder = file\nfile = {csv}"),
+                        encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    d = next((tmp_path / "o").iterdir())
+    csv.unlink()
+    traj = runio.load_trajectory(d)
+    assert traj.params == params
+    assert np.array_equal(traj.n[0], n0)
 
 
 def test_repeated_runs_bitwise_identical(tmp_path):

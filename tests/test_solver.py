@@ -645,6 +645,23 @@ def test_snapshot_times_are_exact_multiples():
     assert len(traj.dts) == traj.meta["steps"]
 
 
+def test_snapshot_times_reject_a_bad_horizon_or_cadence():
+    assert np.array_equal(solver.snapshot_times(0.0, 0.0), [0.0])   # one mark, t = 0
+    for T, snapshot_dt, match in ((1.0, 0.0, "snapshot_dt must be positive"),
+                                  (1.0, -0.1, "snapshot_dt must be positive"),
+                                  (-0.1, 0.1, "horizon must be nonnegative"),
+                                  (0.061, 2e-3, "multiple")):
+        with pytest.raises(ValueError, match=match):
+            solver.snapshot_times(T, snapshot_dt)
+
+
+def test_run_setup_checks_its_cadence_and_safety():
+    with pytest.raises(ValueError, match="multiple"):
+        small_setup(T=0.051)
+    with pytest.raises(ValueError, match="cfl_safety"):
+        dataclasses.replace(small_setup(), cfl_safety=1.5)
+
+
 def test_run_is_bitwise_deterministic():
     a = run(small_setup())
     b = run(small_setup())
@@ -947,6 +964,9 @@ def test_nutrient_deficit_bounds():
     # the analytic trough c_B*(1 - depth)
     assert 0.3 * params.c_B <= float(np.min(c0)) <= 0.3 * params.c_B + 1e-3
     assert float(np.max(c0)) == pytest.approx(params.c_B, rel=1e-12)
+    for radius in (0.0, -1.0):
+        with pytest.raises(ValueError, match="radius > 0"):
+            solver.nutrient_deficit(g, params, depth=0.5, radius=radius)
 
 
 def test_two_dimensional_run_against_radial_oracle():
