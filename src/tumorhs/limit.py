@@ -159,27 +159,21 @@ def heleshaw_reference(p_num: np.ndarray, c_num: np.ndarray,
 # one run and the gamma sweep
 # ---------------------------------------------------------------------------
 
-def run_once(cfg, gamma: float | None = None, out_root=None) -> tuple:
-    """Run a parsed config (at gamma, when given) and compute its monitors.
+def run_once(cfg, out_root, gamma: float | None = None) -> tuple:
+    """Run a parsed config (at gamma, when given) into the run directory
+    out_root/<config hash>[-g<gamma>] and compute its monitors.
 
-    Without out_root the run keeps its whole history in memory and
-    compute_report measures it.  With out_root the run streams: each
-    snapshot goes to the field writer of the run directory
-    out_root/<config hash>[-g<gamma>] and to the monitor pass as the run
-    reaches it, the returned trajectory holds only the first and the last
-    snapshot, and timing.json gets the time of both consumers.  A run that
-    fails with a SolverError leaves the snapshots it reached there as a
-    partial dump, whose directory is the error's partial_dir; when the dump
-    itself fails, partial_dir stays None and the OSError is the error's
-    partial_error.  Returns (trajectory, monitor report, setup, run directory
-    or None).
+    The run streams: each snapshot goes to the field writer and to the
+    monitor pass as the run reaches it, the returned trajectory holds only
+    the first and the last snapshot, and timing.json gets the time of both
+    consumers.  A run that fails with a SolverError leaves the snapshots it
+    reached there as a partial dump, whose directory is the error's
+    partial_dir; when the dump itself fails, partial_dir stays None and the
+    OSError is the error's partial_error.  Returns (trajectory, monitor
+    report, setup, run directory).
     """
     setup, zeta, weight_on = config.build_setup(cfg, gamma_override=gamma)
     weight = monitors.build_weight(setup.grid) if weight_on else None
-    if out_root is None:
-        traj = solver.run(setup)
-        report = monitors.compute_report(traj, setup.spec, zeta=zeta, weight=weight)
-        return traj, report, setup, None
     echo = config.render_config(cfg)
     out_dir = runio.run_dir_for(out_root, echo, tag="" if gamma is None else f"g{gamma:g}")
     times = solver.snapshot_times(setup.T, setup.snapshot_dt)
@@ -212,7 +206,7 @@ def _sweep_worker(job) -> tuple:
     exception (with row, runtime_s and out_dir None) on failure."""
     cfg, gamma, out_root = job
     try:
-        traj, report, _, out_dir = run_once(cfg, gamma, out_root)
+        traj, report, _, out_dir = run_once(cfg, out_root, gamma)
     except Exception as exc:   # noqa: BLE001 - per-run isolation
         return gamma, None, None, None, repr(exc)
     row = dict(report.accum)
@@ -220,9 +214,9 @@ def _sweep_worker(job) -> tuple:
     return gamma, row, traj.meta["runtime_s"], out_dir, None
 
 
-def gamma_sweep(cfg, gammas, workers: int = 1, out_root=None):
-    """Run the parsed config once per gamma; yield each outcome of
-    _sweep_worker in gamma order as soon as it is done.
+def gamma_sweep(cfg, gammas, out_root, workers: int = 1):
+    """Run the parsed config once per gamma into out_root; yield each
+    outcome of _sweep_worker in gamma order as soon as it is done.
 
     Per-gamma runs are independent and deterministic, so the pool size cannot
     change any outcome apart from its runtime.  Only the outcomes are kept,

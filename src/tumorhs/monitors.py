@@ -23,11 +23,11 @@ which measures a block of snapshots at a time: each derivative (grad p,
 grad c, Lap p, Lap c, the Hessian terms), G, Gbar and w is computed once per
 block, vectorised over the snapshot axis, and every series value and
 per-interval integrand is reduced over the space axes of the block.  The
-pass keeps only the block being filled and the snapshot after it, so a run
-can feed it as a sink of solver.run while it runs and hold no history;
-compute_report feeds it a trajectory held in memory.  The integrals over a
-sub-interval of the run are those of the report of the trajectory cut to
-that time slice.
+pass keeps only the block being filled and the snapshot after it, so every
+run feeds it as a sink of solver.run while it runs and holds no history;
+compute_report feeds it the snapshots of a trajectory, such as one reloaded
+from its run directory.  The integrals over a sub-interval of the run are
+those of the report of the trajectory cut to that time slice.
 
 Space integrals are midpoint-rule sums.  Time accumulation is left-endpoint
 over the snapshot intervals, added one interval at a time in time order, so
@@ -366,8 +366,9 @@ SERIES_COLUMNS = [
 def compute_report(traj: Trajectory, spec: model.ReactionSpec,
                    zeta: TestFunction | None = None,
                    weight: WeightFunction | None = None) -> MonitorReport:
-    """All monitors of a trajectory held in memory: its snapshots fed, in
-    order, to the one monitor pass.  The report is what runs write to disk.
+    """All monitors of a trajectory: its snapshots fed, in order, to the one
+    monitor pass.  Of a run reloaded from its directory, it is the report
+    the run streamed, bit for bit.
 
     Per-snapshot norms, then the space-time integrals of the one-sided
     Laplacian bounds, of c's derivatives and of the time-difference quotients

@@ -176,13 +176,10 @@ def write_state_csv(path, traj: Trajectory, k: int) -> None:
 
 
 def write_monitor_csv(path, report: MonitorReport) -> None:
-    names = list(report.series.keys())
-    K = len(report.series["t"])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(names) + "\n")
-        for k in range(K):
-            fh.write(",".join(f"{float(report.series[n][k]):.17g}" for n in names))
-            fh.write("\n")
+    """The per-snapshot series, one column each, in %.17g: the text reads
+    back to the same bits."""
+    np.savetxt(path, np.column_stack(list(report.series.values())), fmt="%.17g",
+               delimiter=",", header=",".join(report.series), comments="")
 
 
 def write_timing(path, traj: Trajectory) -> None:
@@ -256,10 +253,12 @@ def load_summary(run_dir) -> dict:
 
 
 def load_trajectory(run_dir) -> Trajectory:
-    """Rebuild a trajectory (fields, times and model parameters) from a run
+    """Rebuild a trajectory (fields, times, model parameters, the dt of each
+    snapshot and the run's clipped mass and step count) from a run
     directory.  The parameters come from config.echo.cfg; gamma from
     summary.json when present, since a sweep echoes its base config and
-    passes each gamma as an override."""
+    passes each gamma as an override.  The snapshot dts are the dt column of
+    monitors.csv; the dt of every step is not kept on disk, so dts is empty."""
     from . import config
     run_dir = Path(run_dir)
     with open(run_dir / "manifest.json", "r", encoding="utf-8") as fh:
@@ -275,9 +274,13 @@ def load_trajectory(run_dir) -> Trajectory:
     cfg = config.read_config_text(
         (run_dir / "config.echo.cfg").read_text(encoding="utf-8"), env={})
     params = config._model_params(cfg, summary.get("gamma"))
+    with open(run_dir / "monitors.csv", "r", encoding="utf-8") as fh:
+        names = fh.readline().rstrip("\n").split(",")
+        snap_dts = np.loadtxt(fh, delimiter=",", usecols=names.index("dt"), ndmin=1)
     return Trajectory(grid=g, params=params,
                       times=np.asarray(manifest["times"]),
                       n=blocks[:, 0], p=blocks[:, 1], c=blocks[:, 2],
-                      snap_dts=np.zeros(K), dts=np.zeros(0),
+                      snap_dts=snap_dts, dts=np.zeros(0),
                       clipped_mass=float(summary.get("clipped_mass", 0.0)),
-                      meta={"version": manifest["version"]})
+                      meta={"version": manifest["version"],
+                            "steps": int(summary.get("steps", 0))})

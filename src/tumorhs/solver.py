@@ -46,11 +46,10 @@ definite.  Both dimensions solve it directly: a tridiagonal LAPACK solve in
 snapshot marks so repeated runs and gamma sweeps share identical output
 times.
 
-A run keeps its whole history in memory, or, given a sink, hands each
-snapshot to it as the run reaches it and keeps only the first and the last:
-limit.run_once streams a run with an output directory to its field writer
-and to the monitor pass that way (Fanout), so memory does not grow with the
-snapshot count.
+A run keeps no history: it hands each snapshot to its sink as it reaches
+it and keeps only the first and the last.  limit.run_once streams every run
+to its field writer and to the monitor pass that way (Fanout), so memory
+does not grow with the snapshot count.
 """
 
 from __future__ import annotations
@@ -119,8 +118,9 @@ class State:
 
 @dataclass
 class Trajectory:
-    """Time-ordered snapshots at the configured cadence plus the full dt
-    record: every snapshot, or the first and the last of a streamed run."""
+    """Time-ordered snapshots plus the full dt record: the first and the
+    last snapshot of a run, or every snapshot of a run reloaded from its
+    directory."""
 
     grid: Grid
     params: model.ModelParams
@@ -739,25 +739,17 @@ class Fanout:
 def run(setup: RunSetup, sink=None) -> Trajectory:
     """Advance from t = 0 to T, landing exactly on every snapshot mark.
 
-    Without a sink the trajectory holds every snapshot.  With one, the run
-    calls sink(k, state, snap_dt) at each mark k = 0 .. K-1 as it reaches
-    it, with the state there and the solver dt active when it was taken (0
-    at k = 0), and the trajectory holds only the first and the last
-    snapshot; its dts and meta are those of the whole run either way.  The
-    sink may keep the state's arrays, which no later step writes into, and
-    its time is not counted in meta["runtime_s"].  run writes no files.
+    A sink, when given, is called as sink(k, state, snap_dt) at each mark
+    k = 0 .. K-1 as the run reaches it, with the state there and the solver
+    dt active when it was taken (0 at k = 0); it may keep the state's arrays,
+    which no later step writes into, and its time is not counted in
+    meta["runtime_s"].  The trajectory holds the first and the last
+    snapshot (the one snapshot of a zero horizon), the dt of every step and
+    the run's meta.  run writes no files.
     """
     g, params = setup.grid, setup.params
     marks = snapshot_times(setup.T, setup.snapshot_dt)
-    state = _initial_state(setup)
-
-    # the whole history, or the first and the last snapshot alone
-    kept = np.arange(len(marks)) if sink is None else np.unique([0, len(marks) - 1])
-    shape = (len(kept),) + g.shape
-    traj = Trajectory(grid=g, params=params, times=marks[kept],
-                      n=np.zeros(shape), p=np.zeros(shape), c=np.zeros(shape),
-                      snap_dts=np.zeros(len(kept)), dts=np.zeros(0),
-                      clipped_mass=0.0)
+    state = first = _initial_state(setup)
     buffers, nut = _ImplicitDensity(g), _NutrientSolver(g)
     dts = []
     clipped_total = 0.0
@@ -775,11 +767,13 @@ def run(setup: RunSetup, sink=None) -> Trajectory:
             t0 = _time.perf_counter()
             sink(k, state, last_dt)
             sink_s += _time.perf_counter() - t0
-        j = min(k, len(kept) - 1)
-        traj.n[j], traj.p[j], traj.c[j] = state.n, state.p, state.c
-        traj.snap_dts[j] = last_dt
-    traj.dts = np.asarray(dts)
-    traj.clipped_mass = clipped_total
+    # the first and the last snapshot, which are one at a zero horizon
+    ends = [first, state] if len(marks) > 1 else [state]
+    traj = Trajectory(grid=g, params=params, times=marks[[0, -1][:len(ends)]],
+                      n=np.stack([s.n for s in ends]), p=np.stack([s.p for s in ends]),
+                      c=np.stack([s.c for s in ends]),
+                      snap_dts=np.array([0.0, last_dt][:len(ends)]),
+                      dts=np.asarray(dts), clipped_mass=clipped_total)
     traj.meta["runtime_s"] = _time.perf_counter() - wall0 - sink_s
     traj.meta["steps"] = len(dts)
     traj.meta["steps_at_marks"] = at_marks
@@ -788,20 +782,6 @@ def run(setup: RunSetup, sink=None) -> Trajectory:
     traj.meta["density_window_mean"] = (
         buffers.cells / (len(dts) * math.prod(g.shape)) if g.dim == 2 and dts else None)
     return traj
-
-
-def iterate_states(setup: RunSetup, max_steps: int):
-    """Yield the initial state, then the state after each of max_steps steps
-    of the kernel run() uses, with no snapshot marks to land on (for
-    fine-grained invariant tests).  As in run(), no step is longer than
-    setup.snapshot_dt: a uniform state with reactions off gives the step
-    rule no finite bound."""
-    state = _initial_state(setup)
-    buffers, nut = _ImplicitDensity(setup.grid), _NutrientSolver(setup.grid)
-    yield state
-    for _ in range(max_steps):
-        state = _step(state, state.t + setup.snapshot_dt, setup, buffers, nut)[0]
-        yield state
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 
 from tumorhs import config as config_mod
-from tumorhs import limit, solver
+from tumorhs import limit, runio, solver
 
 settings.register_profile("ci", deadline=None, derandomize=True, max_examples=25)
 settings.load_profile("ci")
@@ -25,9 +25,16 @@ def standard_cfg():
 
 
 @pytest.fixture(scope="session")
-def standard_sweep(standard_cfg):
-    """gamma -> (trajectory, monitor report, setup) for the standard experiment."""
-    return {gamma: limit.run_once(standard_cfg, gamma)[:3] for gamma in SWEEP_GAMMAS}
+def standard_sweep(standard_cfg, tmp_path_factory):
+    """gamma -> (trajectory, monitor report, setup) for the standard experiment:
+    the trajectory is read back from the run directory, so it holds every
+    snapshot the run wrote."""
+    out_root = tmp_path_factory.mktemp("standard_sweep")
+    out = {}
+    for gamma in SWEEP_GAMMAS:
+        _, report, setup, run_dir = limit.run_once(standard_cfg, out_root, gamma)
+        out[gamma] = runio.load_trajectory(run_dir), report, setup
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -115,13 +115,13 @@ selection = direct
 """
 
 
-def test_barrier_starts_above_the_initial_pressure():
+def test_barrier_starts_above_the_initial_pressure(tmp_path):
     # G0 * S0 from the support radius alone (0.6 * 0.794) lies below the
     # plateau pressure 0.55, and on 96^2 the support overtakes that ball by
     # t = 0.0025; S0 >= p0/G0 + |x|^2/2 makes the barrier a super-solution
     cfg = parse_config_text(PLATEAU_2D, env={})
-    setup, _, _ = config_mod.build_setup(cfg)
-    traj = solver.run(setup)
+    _, _, setup, run_dir = limit.run_once(cfg, tmp_path)
+    traj = runio.load_trajectory(run_dir)
     prm = config_mod.barrier_params(cfg, setup)
     G0 = 0.5 * prm.rate
     p0, r = traj.p[0], setup.grid.radius

@@ -185,30 +185,30 @@ gammas = 8, 16, 32
 """
 
 
-def sweep(gammas, workers=1):
+def sweep(gammas, out_root, workers=1):
     cfg = config.parse_config_text(TINY_SWEEP_CFG)
-    return SweepReport.from_outcomes(gamma_sweep(cfg, gammas, workers=workers))
+    return SweepReport.from_outcomes(gamma_sweep(cfg, gammas, out_root, workers=workers))
 
 
-def test_degenerate_sweep_single_gamma_has_no_fits():
-    report = sweep([12.0])
+def test_degenerate_sweep_single_gamma_has_no_fits(tmp_path):
+    report = sweep([12.0], tmp_path)
     assert report.fit_graph_residual is None
     assert len(report.rows) == 1
 
 
-def test_sweep_results_independent_of_worker_count():
-    rep1 = sweep([8.0, 16.0, 32.0], workers=1)
-    rep2 = sweep([8.0, 16.0, 32.0], workers=2)
+def test_sweep_results_independent_of_worker_count(tmp_path):
+    rep1 = sweep([8.0, 16.0, 32.0], tmp_path / "w1", workers=1)
+    rep2 = sweep([8.0, 16.0, 32.0], tmp_path / "w2", workers=2)
     assert rep1.gammas == rep2.gammas
     assert rep1.rows == rep2.rows
     assert "runtime_s" not in rep1.rows[0]
     assert rep1.fit_graph_residual == rep2.fit_graph_residual
 
 
-def test_failing_gamma_isolated_with_any_worker_count():
+def test_failing_gamma_isolated_with_any_worker_count(tmp_path):
     # gamma = 0 and 1 are outside the model (gamma > 1 required) and must not
     # take the other gammas down, with or without a pool
-    reports = [sweep([0.0, 1.0, 8.0, 16.0], workers=w) for w in (1, 2)]
+    reports = [sweep([0.0, 1.0, 8.0, 16.0], tmp_path / f"w{w}", workers=w) for w in (1, 2)]
     for rep in reports:
         assert rep.gammas == [8.0, 16.0]
         assert [g for g, _ in rep.failed] == [0.0, 1.0]

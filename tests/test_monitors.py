@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import held_run
 from tumorhs import grid, model, monitors, solver
 from tumorhs.grid import DIRICHLET_ZERO, Grid, TestFunction, laplacian_array
 from tumorhs.monitors import (ab_field, build_weight, compute_report, energy,
@@ -167,7 +168,7 @@ def run_small(gamma=15.0):
     setup = solver.RunSetup(grid=g, params=params, spec=spec, n0=n0,
                             c0=solver.nutrient_uniform(g, params), T=0.1,
                             snapshot_dt=0.005)
-    return solver.run(setup), spec
+    return held_run(setup), spec
 
 
 # the accumulators that are plain left-endpoint sums (no factor applied after)
@@ -507,7 +508,7 @@ def blocked_run(dim, cells, T, snapshot_dt, gamma):
                             snapshot_dt=snapshot_dt)
     zeta = TestFunction(center=(0.0,) * dim, radius=0.8, t_center=0.5 * T,
                         t_halfwidth=0.4 * T)
-    return solver.run(setup), spec, zeta, build_weight(g)
+    return held_run(setup), spec, zeta, build_weight(g)
 
 
 @pytest.fixture(scope="module")

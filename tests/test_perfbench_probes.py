@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from tumorhs import config, limit
+from tumorhs import config, limit, runio
 
 CHILD = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 
@@ -101,9 +101,10 @@ def test_child_measures_a_streamed_run(tmp_path):
     assert rounds and all(r["exit_code"] == 0 for r in rounds)
     assert all(r["steps"] > 0 for r in rounds)
     assert result["mass_balance_failures"] == []
-    held = limit.run_once(config.parse_config_text(SMALL_RUN, env={}))[0]
+    run_dir = limit.run_once(config.parse_config_text(SMALL_RUN, env={}), tmp_path / "ref")[3]
+    written = runio.load_trajectory(run_dir)
     with np.load(scratch / "captured.npz") as captured:
         assert len(captured["h"]) == len(rounds)
         for i in range(len(rounds)):
-            assert np.array_equal(captured[f"n0_{i}"], held.n[0])
-            assert np.array_equal(captured[f"nT_{i}"], held.n[-1])
+            assert np.array_equal(captured[f"n0_{i}"], written.n[0])
+            assert np.array_equal(captured[f"nT_{i}"], written.n[-1])

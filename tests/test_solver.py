@@ -13,6 +13,7 @@ from scipy.linalg.lapack import dgtsv
 from scipy.ndimage import binary_dilation
 from scipy.sparse.linalg import spsolve
 
+from helpers import held_run
 from tumorhs import config, limit, model, runio, solver
 from tumorhs.grid import Grid
 from tumorhs.solver import (RunSetup, SolverError, State, cfl_dt, run,
@@ -326,9 +327,9 @@ def test_box_density_step_along_a_2d_run(monkeypatch):
     g = Grid.symmetric(2, 1.5, 32)
     n0, _ = solver.initial_plateau(g, params, theta=0.5, radius=0.6, edge=0.25)
     setup = RunSetup(grid=g, params=params, spec=spec, n0=n0,
-                     c0=solver.nutrient_deficit(g, params, 0.5, 1.0), T=1.0,
+                     c0=solver.nutrient_deficit(g, params, 0.5, 1.0), T=0.08,
                      snapshot_dt=0.01)
-    step = solver.step_density
+    step, check = solver.step_density, solver._check_state
     boxes = []
 
     def checked(state, dt, params, spec, **kwargs):
@@ -338,11 +339,15 @@ def test_box_density_step_along_a_2d_run(monkeypatch):
         boxes.append((rows.stop - rows.start) * (cols.stop - cols.start))
         return result
 
-    monkeypatch.setattr(solver, "step_density", checked)
-    for state in solver.iterate_states(setup, max_steps=200):
+    def zero_pressure_outside(state, params):
         # outside the box p is set to 0, which the pressure law gives every empty cell
         assert np.all(state.p[state.n == 0.0] == 0.0)
-    assert len(boxes) == 200
+        check(state, params)
+
+    monkeypatch.setattr(solver, "step_density", checked)
+    monkeypatch.setattr(solver, "_check_state", zero_pressure_outside)
+    steps = run(setup).meta["steps"]
+    assert len(boxes) == steps >= 200
     assert boxes[0] < boxes[-1] < g.n * g.n      # the support grew, and so did the box
 
 
@@ -623,6 +628,7 @@ def test_zero_horizon_gives_initial_snapshot_only():
     traj = run(setup)
     assert len(traj) == 1 and traj.times[0] == 0.0
     assert np.array_equal(traj.n[0], setup.n0)
+    assert traj.snap_dts.tolist() == [0.0] and traj.meta["steps"] == 0
 
 
 def test_mass_conserved_without_reactions():
@@ -632,16 +638,16 @@ def test_mass_conserved_without_reactions():
     n0, _ = solver.initial_plateau(g, params, theta=0.4, radius=0.6, edge=0.25)
     setup = RunSetup(grid=g, params=params, spec=spec, n0=n0,
                      c0=solver.nutrient_uniform(g, params), T=0.2, snapshot_dt=0.02)
-    traj = run(setup)
+    traj = held_run(setup)
     masses = np.sum(traj.n, axis=tuple(range(1, traj.n.ndim))) * g.cell_volume
     assert np.max(np.abs(masses - masses[0])) <= 1e-8 * masses[0]
     assert traj.clipped_mass <= 1e-8 * masses[0]
 
 
 def test_snapshot_times_are_exact_multiples():
-    setup = small_setup()
-    traj = run(setup)
-    assert np.array_equal(traj.times, np.arange(11) * 0.005)
+    times = []
+    traj = run(small_setup(), sink=lambda k, state, snap_dt: times.append(state.t))
+    assert times == (np.arange(11) * 0.005).tolist()
     assert len(traj.dts) == traj.meta["steps"]
 
 
@@ -663,8 +669,8 @@ def test_run_setup_checks_its_cadence_and_safety():
 
 
 def test_run_is_bitwise_deterministic():
-    a = run(small_setup())
-    b = run(small_setup())
+    a = held_run(small_setup())
+    b = held_run(small_setup())
     assert np.array_equal(a.n, b.n)
     assert np.array_equal(a.p, b.p)
     assert np.array_equal(a.c, b.c)
@@ -672,14 +678,14 @@ def test_run_is_bitwise_deterministic():
 
 
 def test_pressure_density_consistency_along_run():
-    traj = run(small_setup())
+    traj = held_run(small_setup())
     for k in (0, len(traj) // 2, len(traj) - 1):
         p = model.pressure_from_density(traj.n[k], traj.params.gamma)
         assert np.allclose(traj.p[k], p, rtol=1e-12, atol=1e-300)
 
 
 def test_state_bounds_enforced_along_run():
-    traj = run(small_setup())
+    traj = held_run(small_setup())
     params = traj.params
     assert float(np.min(traj.n)) >= 0.0
     assert float(np.max(traj.n)) <= params.n_H + 1e-8
@@ -766,7 +772,7 @@ selection = direct
 
 def test_partial_flush_holds_the_snapshots_reached(tmp_path, monkeypatch):
     cfg = config.parse_config_text(PARTIAL_CFG, env={})
-    full = limit.run_once(cfg)[0]
+    full = runio.load_trajectory(limit.run_once(cfg, tmp_path / "full")[3])
     check = solver._check_state
 
     def fail_late(state, params):
@@ -776,10 +782,10 @@ def test_partial_flush_holds_the_snapshots_reached(tmp_path, monkeypatch):
 
     monkeypatch.setattr(solver, "_check_state", fail_late)
     with pytest.raises(SolverError, match="injected") as err:
-        limit.run_once(cfg, out_root=tmp_path)
+        limit.run_once(cfg, tmp_path / "failed")
     # snapshots 0, 2e-3, 4e-3 and 6e-3 were reached
     assert err.value.partial_dir is not None
-    run_dir, = tmp_path.iterdir()
+    run_dir, = (tmp_path / "failed").iterdir()
     assert err.value.partial_dir == run_dir
     assert sorted(p.name for p in run_dir.iterdir()) == ["fields.partial.bin",
                                                           "partial.json"]
@@ -792,18 +798,24 @@ def test_partial_flush_holds_the_snapshots_reached(tmp_path, monkeypatch):
         assert np.array_equal(blocks[:, i], getattr(full, name)[:4]), name
 
 
-def test_finite_propagation_one_cell_layer_per_step():
+def test_finite_propagation_one_cell_layer_per_step(monkeypatch):
     setup = small_setup(gamma=10.0)
-    prev = None
-    for k, state in enumerate(solver.iterate_states(setup, max_steps=200)):
+    check = solver._check_state
+    masks = [setup.n0 > 1e-12]
+
+    def one_layer(state, params):
+        check(state, params)
         mask = state.n > 1e-12
-        if prev is not None:
-            allowed = binary_dilation(prev)
-            assert np.all(allowed[mask]), f"support jumped more than one cell at step {k}"
-        prev = mask
+        allowed = binary_dilation(masks[-1])
+        assert np.all(allowed[mask]), f"support jumped more than one cell at step {len(masks)}"
+        masks.append(mask)
+
+    monkeypatch.setattr(solver, "_check_state", one_layer)
+    steps = run(setup).meta["steps"]
+    assert len(masks) - 1 == steps >= 200
 
 
-def test_iterate_states_takes_no_infinite_step():
+def test_run_takes_no_infinite_step():
     # a uniform state with reactions off gives the step rule no finite bound;
     # the empty state is the uniform one that stays inside the box
     params = model.ModelParams(gamma=10.0)
@@ -813,7 +825,10 @@ def test_iterate_states_takes_no_infinite_step():
         assert cfl_dt(make_state(g, params, np.full(g.shape, value)), params, spec) == math.inf
     setup = RunSetup(grid=g, params=params, spec=spec, n0=np.zeros(g.shape),
                      c0=solver.nutrient_uniform(g, params), T=0.01, snapshot_dt=0.002)
-    times = [s.t for s in solver.iterate_states(setup, max_steps=5)]
+    times = []
+    traj = run(setup, sink=lambda k, state, snap_dt: times.append(state.t))
+    # one step from each mark to the next
+    assert traj.meta["steps"] == 5 and traj.meta["steps_at_marks"] == 5
     assert times == pytest.approx([0.0, 0.002, 0.004, 0.006, 0.008, 0.01], abs=1e-15)
 
 
@@ -983,7 +998,7 @@ def test_two_dimensional_run_against_radial_oracle():
                          n0=barenblatt_density(g.radius, 0.0, prm),
                          c0=solver.nutrient_uniform(g, params),
                          T=0.3, snapshot_dt=0.1)
-        traj = run(setup)
+        traj = held_run(setup)
         exact = barenblatt_density(g.radius, 0.3, prm)
         errs[N] = float(np.sum(np.abs(traj.n[-1] - exact))) * g.cell_volume
         masses = np.sum(traj.n, axis=(1, 2)) * g.cell_volume

@@ -1,12 +1,13 @@
-"""A run with an output directory streams: each snapshot goes to fields.bin
-and to the monitor pass as the run reaches it, and no history is kept."""
+"""Every run streams: each snapshot goes to fields.bin and to the monitor
+pass as the run reaches it, and no history is kept."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from tumorhs import config, limit, monitors, runio
+from tumorhs import cli, config, limit, monitors, runio, solver
 
 # 1D, 96 cells: blocks of 42 snapshots, 101 snapshots (a partial last block)
 STREAM_1D = """
@@ -73,42 +74,69 @@ def test_streamed_report_has_the_bits_of_compute_report(tmp_path, case):
     # 2D: 24^2 cells, blocks of 7 snapshots, 11 snapshots
     cfg = (config.parse_config_text(STREAM_1D, env={}) if case == "1d"
            else stream_2d(24, 11))
-    held, want, _, _ = limit.run_once(cfg)
-    streamed, got, _, run_dir = limit.run_once(cfg, out_root=tmp_path)
-    size = monitors._BLOCK_CELLS // held.n[0].size
-    assert 1 < size < len(held) and len(held) % size != 0
+    streamed, want, setup, run_dir = limit.run_once(cfg, tmp_path)
+    loaded = runio.load_trajectory(run_dir)
+    size = monitors._BLOCK_CELLS // loaded.n[0].size
+    assert 1 < size < len(loaded) and len(loaded) % size != 0
+    # the report of the reloaded run is the report the run streamed
+    _, zeta, weight_on = config.build_setup(cfg)
+    weight = monitors.build_weight(setup.grid) if weight_on else None
+    got = monitors.compute_report(loaded, setup.spec, zeta=zeta, weight=weight)
     for part in ("series", "accum", "meta", "extremes"):
         assert_same_bytes(getattr(want, part), getattr(got, part), part)
-    # the streamed trajectory holds the first and the last snapshot of the
-    # run and its whole dt record; fields.bin holds every snapshot
-    assert np.array_equal(streamed.times, held.times[[0, -1]])
+    # the returned trajectory holds the first and the last snapshot of the run
+    assert np.array_equal(streamed.times, loaded.times[[0, -1]])
     for name in ("n", "p", "c", "snap_dts"):
-        assert np.array_equal(getattr(streamed, name), getattr(held, name)[[0, -1]]), name
-    assert np.array_equal(streamed.dts, held.dts)
-    assert streamed.meta["steps"] == held.meta["steps"]
-    loaded = runio.load_trajectory(run_dir)
-    assert np.array_equal(loaded.times, held.times)
-    for name in ("n", "p", "c"):
-        assert np.array_equal(getattr(loaded, name), getattr(held, name)), name
+        assert np.array_equal(getattr(streamed, name), getattr(loaded, name)[[0, -1]]), name
+    assert len(streamed.dts) == loaded.meta["steps"] == streamed.meta["steps"]
 
 
-def peak_bytes(cfg, out_root) -> int:
+def peak_bytes(run) -> int:
     tracemalloc.start()
     try:
-        limit.run_once(cfg, out_root=out_root)
+        run()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
+def kept_run(cfg) -> list:
+    """solver.run of the config with a sink that keeps every snapshot."""
+    kept = []
+    solver.run(config.build_setup(cfg)[0], sink=lambda k, state, snap_dt: kept.append(state))
+    return kept
+
+
 def test_streamed_run_memory_does_not_grow_with_the_snapshots(tmp_path):
     # the same 32^2 run with 11 and with 81 snapshots; one snapshot of n, p
-    # and c is 24 KiB, so a held history grows by 70 of them
+    # and c is 24 KiB, so a kept history grows by 70 of them
     snapshot = 3 * 32 * 32 * 8
     few, many = stream_2d(32, 11), stream_2d(32, 81)
-    limit.run_once(few, out_root=tmp_path / "warm")   # imports and caches
-    streamed = peak_bytes(many, tmp_path / "b") - peak_bytes(few, tmp_path / "a")
-    held = peak_bytes(many, None) - peak_bytes(few, None)
+    limit.run_once(few, tmp_path / "warm")   # imports and caches
+    streamed = (peak_bytes(lambda: limit.run_once(many, tmp_path / "b"))
+                - peak_bytes(lambda: limit.run_once(few, tmp_path / "a")))
+    held = peak_bytes(lambda: kept_run(many)) - peak_bytes(lambda: kept_run(few))
     assert held > 60 * snapshot
     # what grows is a few scalars per snapshot: the series and the manifest
     assert abs(streamed) < 8 * snapshot
+
+
+def test_zero_horizon_run_writes_its_one_snapshot(tmp_path, capsys):
+    text = STREAM_1D.replace("horizon = 0.2", "horizon = 0")
+    traj, report, _, run_dir = limit.run_once(config.parse_config_text(text, env={}),
+                                              tmp_path / "once")
+    assert len(traj) == 1 and len(report.series["t"]) == 1
+    cfg_path = tmp_path / "zero.cfg"
+    cfg_path.write_text(text, encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "cli"),
+                     "--assert"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert not [ln for ln in lines if ln.startswith("FAIL")]
+    assert sum(ln.startswith("PASS") for ln in lines) >= 6
+    for d in (run_dir, next((tmp_path / "cli").iterdir())):
+        manifest = json.loads((d / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["snapshots"] == 1 and manifest["times"] == [0.0]
+        assert (d / "fields.bin").stat().st_size == 3 * 96 * 8
+        loaded = runio.load_trajectory(d)
+        assert len(loaded) == 1 and np.array_equal(loaded.n[0], traj.n[0])
+        assert loaded.meta["steps"] == 0
